@@ -2,7 +2,9 @@
 affine algebra of type A2(2): weight functions, their mode expansions,
 and truncated universal R-matrix factors, all over Q(q)."""
 
-from .qfield import BigRatio, QPoly, QRat, qnum, qpow
+__version__ = "0.1.0"
+
+from .qfield import QPoly, QRat, qnum, qpow
 from .series import ExpansionSeries, FactoredRational, ratio_degree
 from .ncalg import (
     AbstractSymbol,
@@ -10,10 +12,6 @@ from .ncalg import (
     NCExpr,
     abstract,
     mode,
-    nc_add,
-    nc_equal,
-    nc_mul,
-    nc_scale,
     principal_degree,
     q_commutator,
 )
@@ -56,5 +54,3 @@ from .rmatrix import (
     rbar_order,
 )
 from .verify import SuiteReport, brute_admissible, run_suite
-
-__version__ = "0.1.0"

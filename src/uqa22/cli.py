@@ -4,7 +4,8 @@ Subcommands: ``weight`` (compute a weight function, optionally with its
 mode expansion), ``rmatrix`` (pairing-tensor factors and Cartan
 coefficients), ``blocks`` (dump any scalar building block), and
 ``verify`` (run a verification suite).  JSON artifacts are canonical and
-cached by a content key; repeated invocations with the same
+cached by a content key that covers the configuration, the package
+version and the engine sources; repeated invocations with the same
 configuration return byte-identical output.
 """
 
@@ -16,9 +17,10 @@ import json
 import os
 import sys
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
-from . import render
+from . import __version__, render
 from .blocks import ArgList, build_block, build_kernel, build_matrices, build_tilde_block
 from .projection import (
     MINUS,
@@ -65,9 +67,27 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
+@lru_cache(maxsize=1)
+def _engine_fingerprint(root: Path = Path(__file__).parent) -> str:
+    """sha256 over the engine's sources and data files, once per process."""
+    h = hashlib.sha256()
+    for path in sorted([*root.glob("*.py"), *root.glob("data/*.json")]):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
 def _cached(args, key_fields: dict, compute):
-    """Return the canonical JSON text for a computation, via the cache."""
-    key_fields = dict(key_fields, schema=SCHEMA_VERSION)
+    """Return the canonical JSON text for a computation, via the cache.
+
+    The key covers the parameters, the schema and package versions and
+    the engine fingerprint, so an entry written by another engine is
+    never served; an entry whose ``schema`` field is not the one this
+    command writes is recomputed.
+    """
+    schema = f"uqa22/{key_fields['cmd']}/v{SCHEMA_VERSION}"
+    key_fields = dict(key_fields, schema=SCHEMA_VERSION, version=__version__,
+                      engine=_engine_fingerprint())
     key = hashlib.sha256(
         json.dumps(key_fields, sort_keys=True).encode()).hexdigest()
     cdir = _cache_dir(args)
@@ -76,11 +96,16 @@ def _cached(args, key_fields: dict, compute):
         if path.exists():
             text = path.read_text()
             try:
-                json.loads(text)
-                return text
+                data = json.loads(text)
             except ValueError:
                 print(f"warning: corrupt cache entry {path}; recomputing",
                       file=sys.stderr)
+            else:
+                found = data.get("schema") if isinstance(data, dict) else None
+                if found == schema:
+                    return text
+                print(f"warning: cache entry {path} has schema {found!r}, "
+                      f"expected {schema!r}; recomputing", file=sys.stderr)
     text = _canonical_json(compute())
     if cdir is not None:
         _atomic_write(cdir / f"{key}.json", text)

@@ -319,22 +319,6 @@ def _symbol_from_json(data):
     return abstract(data[0], data[1], bool(data[2]))
 
 
-def nc_mul(a: NCExpr, b: NCExpr) -> NCExpr:
-    return a * b
-
-
-def nc_add(a: NCExpr, b: NCExpr) -> NCExpr:
-    return a + b
-
-
-def nc_scale(a: NCExpr, s) -> NCExpr:
-    return a.scale(s)
-
-
-def nc_equal(a: NCExpr, b: NCExpr, bound) -> bool:
-    return a.equal_up_to(b, bound)
-
-
 def q_commutator(a: NCExpr, b: NCExpr, sign: int = 1) -> NCExpr:
     """[a, b]_{q^sign} = a*b - q^sign * b*a."""
     return a * b - (b * a).scale(qpow(sign))

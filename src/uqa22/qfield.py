@@ -6,23 +6,39 @@ polynomials in q (negative exponents allowed, since q^-1, q^-2, q^-3
 occur everywhere), and values are kept in a canonical reduced form so
 that equality is plain structural equality.  q is treated as
 transcendental; there is no floating point anywhere.
+
+Almost every value the engine forms lies in Z[q^+-1][1/(1+q^3)], and the
+representation is tuned for that ring without leaving Q(q):
+
+* an integral coefficient is stored as ``int`` and only a non-integral
+  one as ``Fraction``, so integer Laurent polynomials are added,
+  multiplied and evaluated without any ``Fraction`` arithmetic;
+* a denominator that is a constant times a product of the cyclotomic
+  factors of 1+q^3 and q-1 is reduced by exact trial division, and only
+  any other denominator takes the Euclidean gcd over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-# Arbitrary-precision rational scalar used for coefficients and for all
-# numeric evaluations of q and the z variables.
-BigRatio = Fraction
+
+def _coeff(c):
+    """Canonical exact coefficient: ``int`` if integral, else ``Fraction``."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"not an exact rational: {c!r}")
 
 
 def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"not an exact rational: {c!r}")
+    # evaluation points and values are Fractions: callers raise values to
+    # negative powers, which for an int would give a float
+    return c if type(c) is Fraction else Fraction(_coeff(c))
 
 
 class QPoly:
@@ -30,13 +46,16 @@ class QPoly:
 
     Coefficients are stored densely from the lowest exponent ``off``
     upward; the first and last stored coefficients are nonzero, and the
-    zero polynomial is the empty tuple.  Instances are immutable.
+    zero polynomial is the empty tuple.  Each coefficient is an ``int``
+    when it is integral and a ``Fraction`` only when it is not, so equal
+    polynomials have identical fields and an integer polynomial never
+    touches ``Fraction`` arithmetic.  Instances are immutable.
     """
 
     __slots__ = ("off", "coeffs")
 
     def __init__(self, off: int = 0, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         lo, hi = 0, len(cs)
         while lo < hi and cs[lo] == 0:
             lo += 1
@@ -49,13 +68,13 @@ class QPoly:
             self.off = off + lo
             self.coeffs = tuple(cs[lo:hi])
 
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls(0, ())
+    @staticmethod
+    def zero() -> "QPoly":
+        return _POLY_ZERO
 
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls(0, (1,))
+    @staticmethod
+    def one() -> "QPoly":
+        return _POLY_ONE
 
     @classmethod
     def q(cls, e: int = 1, c=1) -> "QPoly":
@@ -65,17 +84,17 @@ class QPoly:
     def from_terms(cls, terms) -> "QPoly":
         """Build from {exponent: coeff} or an iterable of (exponent, coeff)."""
         d = dict(terms) if not isinstance(terms, dict) else terms
-        d = {e: _as_fraction(c) for e, c in d.items() if c != 0}
+        d = {e: c for e, c in d.items() if c != 0}
         if not d:
             return cls.zero()
         lo, hi = min(d), max(d)
-        return cls(lo, [d.get(e, Fraction(0)) for e in range(lo, hi + 1)])
+        return cls(lo, [d.get(e, 0) for e in range(lo, hi + 1)])
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return self.off == 0 and self.coeffs == (Fraction(1),)
+        return self.off == 0 and self.coeffs == (1,)
 
     def valuation(self) -> int:
         if not self.coeffs:
@@ -87,8 +106,8 @@ class QPoly:
             raise ValueError("degree of zero polynomial")
         return self.off + len(self.coeffs) - 1
 
-    def leading_coeff(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+    def leading_coeff(self):
+        return self.coeffs[-1] if self.coeffs else 0
 
     def terms(self):
         for k, c in enumerate(self.coeffs):
@@ -102,7 +121,7 @@ class QPoly:
         return QPoly(self.off + k, self.coeffs)
 
     def scale(self, c) -> "QPoly":
-        c = _as_fraction(c)
+        c = _coeff(c)
         if c == 0:
             return QPoly.zero()
         return QPoly(self.off, [a * c for a in self.coeffs])
@@ -117,7 +136,7 @@ class QPoly:
             return self
         lo = min(self.off, other.off)
         hi = max(self.off + len(self.coeffs), other.off + len(other.coeffs))
-        cs = [Fraction(0)] * (hi - lo)
+        cs = [0] * (hi - lo)
         for k, c in enumerate(self.coeffs):
             cs[self.off - lo + k] += c
         for k, c in enumerate(other.coeffs):
@@ -131,12 +150,11 @@ class QPoly:
         if not self.coeffs or not other.coeffs:
             return QPoly.zero()
         a, b = self.coeffs, other.coeffs
-        cs = [Fraction(0)] * (len(a) + len(b) - 1)
+        cs = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                cs[i + j] += ai * bj
+            if ai:
+                for k, bj in enumerate(b, i):
+                    cs[k] += ai * bj
         return QPoly(self.off + other.off, cs)
 
     def eval(self, q0: Fraction) -> Fraction:
@@ -146,10 +164,18 @@ class QPoly:
             return Fraction(0)
         if self.off < 0 and q0 == 0:
             raise ZeroDivisionError("pole at q0 = 0")
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return acc * q0 ** self.off
+        # Horner on the homogenised form: with q0 = n/d and top degree t,
+        # acc = d^t * sum_k c_k q0^k stays an int for int coefficients,
+        # and only the final quotient forms a Fraction
+        n, d = q0.numerator, q0.denominator
+        acc, dk = self.coeffs[-1], 1
+        for c in reversed(self.coeffs[:-1]):
+            dk *= d
+            acc = acc * n + c * dk
+        e = self.off
+        if e >= 0:
+            return Fraction(acc * n ** e, dk * d ** e)
+        return Fraction(acc * d ** -e, dk * n ** -e)
 
     def __eq__(self, other) -> bool:
         return (
@@ -193,7 +219,14 @@ class QPoly:
         return cls.from_terms({int(e): Fraction(c) for e, c in data})
 
 
+_POLY_ZERO = QPoly()
+_POLY_ONE = QPoly(0, (1,))
+
+
 # -- ordinary (valuation-zero) polynomial helpers used for gcd ------------
+#
+# Lists are dense ascending coefficient lists.  The Euclidean helpers lift
+# their input to Fraction first, since the quotient of two ints is a float.
 
 def _list_trim(a):
     while a and a[-1] == 0:
@@ -215,7 +248,9 @@ def _list_mod(a, b):
 
 
 def _list_gcd(a, b):
-    a, b = _list_trim(list(a)), _list_trim(list(b))
+    """Monic gcd over Q, by Euclid's algorithm."""
+    a = _list_trim([Fraction(c) for c in a])
+    b = _list_trim([Fraction(c) for c in b])
     while b:
         a, b = b, _list_mod(a, b)
     lc = a[-1]
@@ -226,7 +261,7 @@ def _list_gcd(a, b):
 
 def _list_div_exact(a, b):
     """Exact quotient a / b; raises if the division leaves a remainder."""
-    a = list(a)
+    a = [Fraction(c) for c in a]
     db, lb = len(b) - 1, b[-1]
     out = [Fraction(0)] * (len(a) - db)
     while len(a) - 1 >= db and a:
@@ -239,6 +274,77 @@ def _list_div_exact(a, b):
     if a:
         raise ArithmeticError("inexact polynomial division")
     return out
+
+
+# Monic, irreducible over Q and pairwise coprime, as ascending lists:
+# Phi2 = 1+q and Phi6 = 1-q+q^2 (so 1+q^3 = Phi2*Phi6), and Phi1 = q-1.
+_FACTORS = ((1, 1), (1, -1, 1), (-1, 1))
+
+
+def _div_monic(a, f):
+    """Quotient of a by the monic f when f divides a exactly, else None.
+
+    Synthetic division: no coefficient is ever divided, so an integer
+    list stays an integer list.
+    """
+    d = len(f) - 1
+    n = len(a) - d
+    if n <= 0:
+        return None
+    a = list(a)
+    out = [0] * n
+    for s in range(n - 1, -1, -1):
+        c = a[s + d]
+        out[s] = c
+        if c:
+            for k in range(d):
+                a[s + k] -= c * f[k]
+    if any(a[:d]):
+        return None
+    return out
+
+
+@lru_cache(maxsize=512)
+def _factor_exponents(b):
+    """(e_f for f in _FACTORS) if b = const * prod f^e_f, else None.
+
+    Memoised: the engine meets only a handful of distinct denominators.
+    """
+    exps = []
+    for f in _FACTORS:
+        e = 0
+        while (quo := _div_monic(b, f)) is not None:
+            b, e = quo, e + 1
+        exps.append(e)
+    return tuple(exps) if len(b) == 1 else None
+
+
+def _reduce_euclid(a, b):
+    """a and b divided by their monic gcd, found by Euclid's algorithm."""
+    g = _list_gcd(a, b)
+    if len(g) > 1:
+        return _list_div_exact(a, g), _list_div_exact(b, g)
+    return a, b
+
+
+def _reduce(a, b):
+    """a and b divided by their monic gcd.
+
+    When b is a constant times prod f^e_f over ``_FACTORS`` the gcd is
+    prod f^min(e_f, v_f(a)), v_f being the multiplicity of f in a: the
+    factors are irreducible and pairwise coprime.  Trial division finds
+    it with no division of coefficients.  Any other b takes Euclid.
+    """
+    exps = _factor_exponents(tuple(b))
+    if exps is None:
+        return _reduce_euclid(a, b)
+    for f, e in zip(_FACTORS, exps):
+        for _ in range(e):
+            quo = _div_monic(a, f)
+            if quo is None:
+                break
+            a, b = quo, _div_monic(b, f)
+    return a, b
 
 
 class QRat:
@@ -257,15 +363,24 @@ class QRat:
             self.num, self.den = num, den
             return
         if not isinstance(num, QPoly):
-            num = QPoly(0, (_as_fraction(num),)) if num else QPoly.zero()
+            num = QPoly(0, (num,)) if num else QPoly.zero()
         if den is None:
             den = QPoly.one()
         elif not isinstance(den, QPoly):
-            den = QPoly(0, (_as_fraction(den),)) if den else QPoly.zero()
+            den = QPoly(0, (den,)) if den else QPoly.zero()
         self.num, self.den = self._normalize(num, den)
 
     @staticmethod
     def _normalize(num: QPoly, den: QPoly):
+        """Reduce num/den to the canonical form described on the class.
+
+        The common factor is removed by ``_reduce``: trial division by
+        the factors of 1+q^3 and q-1 when the denominator splits over
+        them (every denominator on the weight and mode path does), else
+        Euclid.  Both divide by the monic gcd, and a reduced form with a
+        monic denominator is unique, so the two paths give the same
+        fields.
+        """
         if den.is_zero():
             raise ZeroDivisionError("division by zero in Q(q)")
         if num.is_zero():
@@ -276,17 +391,12 @@ class QRat:
             num = num.shift(-vd)
         if len(den.coeffs) == 1:
             c = den.coeffs[0]
-            return (num if c == 1 else num.scale(1 / c)), QPoly.one()
+            return (num if c == 1 else num.scale(1 / Fraction(c))), QPoly.one()
         vn = num.valuation()
-        a = list(num.shift(-vn).coeffs)
-        b = list(den.coeffs)
-        g = _list_gcd(a, b)
-        if len(g) > 1:
-            a = _list_div_exact(a, g)
-            b = _list_div_exact(b, g)
+        a, b = _reduce(num.coeffs, den.coeffs)
         lc = b[-1]
         if lc != 1:
-            inv = 1 / lc
+            inv = 1 / Fraction(lc)
             a = [c * inv for c in a]
             b = [c * inv for c in b]
         if len(b) == 1:
@@ -304,7 +414,7 @@ class QRat:
     @classmethod
     def q(cls, e: int = 1, c=1) -> "QRat":
         """Monomial c * q^e."""
-        c = _as_fraction(c)
+        c = _coeff(c)
         if c == 0:
             return cls()
         return cls(QPoly.q(e, c), QPoly.one(), _canonical=True)
@@ -335,6 +445,8 @@ class QRat:
         if other.is_zero():
             return self
         if self.den == other.den:
+            if self.den.is_one():
+                return QRat(self.num + other.num, self.den, _canonical=True)
             return QRat(self.num + other.num, self.den)
         return QRat(self.num * other.den + other.num * self.den,
                     self.den * other.den)
@@ -386,6 +498,8 @@ class QRat:
     def eval(self, q0) -> Fraction:
         """Exact value at q = q0; q0 must not be a root of the denominator."""
         q0 = _as_fraction(q0)
+        if self.den.is_one():
+            return self.num.eval(q0)
         d = self.den.eval(q0)
         if d == 0:
             raise ZeroDivisionError(f"pole at q0 = {q0}")

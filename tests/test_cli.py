@@ -1,11 +1,15 @@
 """Command-line interface: artifacts, caching, exit codes."""
 
+import hashlib
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from uqa22 import cli
 from uqa22.cli import main
 
 
@@ -52,6 +56,80 @@ def test_weight_cache_corruption_recovers(tmp_path, capsys):
     code, again = invoke(capsys, args)
     assert code == 0
     assert again == first
+
+
+def test_cache_is_keyed_on_the_engine_fingerprint(tmp_path, capsys,
+                                                  monkeypatch):
+    args = ["weight", "plus", "--n", "2", "--depth", "3",
+            "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(cli, "_engine_fingerprint", lambda: "engine-a")
+    _, first = invoke(capsys, args)
+    entry = next(tmp_path.glob("*.json"))
+    # an entry from another engine is never served, even if it parses
+    entry.write_text(first.replace('"depth": 3', '"depth": 99'))
+    monkeypatch.setattr(cli, "_engine_fingerprint", lambda: "engine-b")
+    _, second = invoke(capsys, args)
+    assert second == first
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    monkeypatch.setattr(cli, "_engine_fingerprint", lambda: "engine-a")
+    _, stale = invoke(capsys, args)
+    assert '"depth": 99' in stale
+
+
+def test_engine_fingerprint_covers_sources_and_data(tmp_path):
+    root = tmp_path / "uqa22"
+    shutil.copytree(Path(cli.__file__).parent, root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    digest = cli._engine_fingerprint.__wrapped__
+    base = digest(root)
+    assert base == cli._engine_fingerprint()
+    (root / "notes.txt").write_text("not part of the engine")
+    assert digest(root) == base
+    data = root / "data" / "reference_displays.json"
+    data.write_text(data.read_text() + " ")
+    assert digest(root) != base
+    data.write_text(data.read_text()[:-1])
+    assert digest(root) == base
+    (root / "qfield.py").write_text((root / "qfield.py").read_text() + "#")
+    assert digest(root) != base
+
+
+def test_cache_entry_with_foreign_schema_is_recomputed(tmp_path, capsys):
+    args = ["weight", "plus", "--n", "1", "--depth", "2",
+            "--cache-dir", str(tmp_path)]
+    _, first = invoke(capsys, args)
+    entry = next(tmp_path.glob("*.json"))
+    entry.write_text(first.replace("uqa22/weight/v1", "uqa22/weight/v0"))
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == first
+    assert "has schema 'uqa22/weight/v0'" in captured.err
+    assert "recomputing" in captured.err
+    assert entry.read_text() == first
+
+
+# sha256 of the canonical JSON artifacts, recorded from the engine before
+# the integer coefficient ring; any change to these bytes is a regression
+# or a deliberate format change.
+_SMALL_MODES = ["--n", "3", "--depth", "4", "--modes", "--window", "3"]
+ARTIFACT_SHA256 = {
+    "weight-plus": (
+        ["weight", "plus", *_SMALL_MODES],
+        "67a1547d35cc055b67c1144dfadaf69a9102473bfe18d9c86ded370337572692"),
+    "weight-minus": (
+        ["weight", "minus", *_SMALL_MODES],
+        "25c418402e8509d64da9e4b00a2b92997b450baa33faade6470ece81b6f3c6bc"),
+    "rmatrix": (
+        ["rmatrix", "--order", "2", "--window", "4"],
+        "4d9d495c1e849aca75a4dcb3da9dfd0d162f9a9a45d081baa6818cb3946b7073"),
+}
+
+
+@pytest.mark.parametrize("case", list(ARTIFACT_SHA256))
+def test_artifacts_are_byte_identical(case, capsys):
+    args, digest = ARTIFACT_SHA256[case]
+    _, out = invoke(capsys, [*args, "--no-cache"])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_weight_latex_contains_block_ratio(tmp_path, capsys):

@@ -6,7 +6,6 @@ from uqa22.ncalg import (
     NCExpr,
     abstract,
     mode,
-    nc_equal,
     principal_degree,
     q_commutator,
 )
@@ -150,9 +149,9 @@ def test_principal_degree_negates_under_iota(rng):
 def test_nc_equal_reflexive_and_bound_checked():
     s = ExpansionSeries(2, {(0, 0): qnum(1)}, 3)
     x = NCExpr(2, {(mode("f", 1),): s})
-    assert nc_equal(x, x, 3)
+    assert x.equal_up_to(x, 3)
     with pytest.raises(ValueError, match="insufficient truncation"):
-        nc_equal(x, x, 4)
+        x.equal_up_to(x, 4)
 
 
 def test_nc_equal_ignores_terms_above_validity():
@@ -160,7 +159,7 @@ def test_nc_equal_ignores_terms_above_validity():
     x = NCExpr(2, {(mode("f", 1),): base})
     extra = ExpansionSeries(2, {(0, 0): qnum(1), (-3, 3): qnum(7)}, INF)
     y = NCExpr(2, {(mode("f", 1),): extra}, validity=2)
-    assert nc_equal(x, y, 2)
+    assert x.equal_up_to(y, 2)
     assert not x.coefficient((mode("f", 1),)).terms == y.coefficient(
         (mode("f", 1),)).terms
 
@@ -173,10 +172,10 @@ def test_nc_equal_is_an_equivalence(rng):
     xs = [NCExpr(1, {(mode("f", 1),): s}) for s in (s1, s2, s3)]
     bound = 3
     for a in xs:
-        assert nc_equal(a, a, bound)
-    assert nc_equal(xs[0], xs[1], bound) and nc_equal(xs[1], xs[2], bound) \
-        and nc_equal(xs[0], xs[2], bound)
-    assert not nc_equal(xs[0], xs[1], 5)
+        assert a.equal_up_to(a, bound)
+    assert xs[0].equal_up_to(xs[1], bound) and xs[1].equal_up_to(xs[2], bound) \
+        and xs[0].equal_up_to(xs[2], bound)
+    assert not xs[0].equal_up_to(xs[1], 5)
 
 
 def test_header_validity_tracks_lost_words():

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqa22.qfield import QPoly, QRat, qnum, qpow
+from uqa22.qfield import (
+    _FACTORS,
+    QPoly,
+    QRat,
+    _factor_exponents,
+    _list_gcd,
+    _reduce,
+    _reduce_euclid,
+    qnum,
+    qpow,
+)
 
 q = qpow(1)
 
@@ -126,3 +136,137 @@ def test_canonical_denominator_shape():
     x = qnum(1) / (qpow(-2) + q)   # den q + q^-2 shifts to q^3 + 1
     assert x.den.valuation() == 0
     assert x.den.leading_coeff() == 1
+
+
+# -- storage invariant: int when integral, Fraction only when not --------
+
+def assert_canonical_coeffs(p: QPoly):
+    for c in p.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
+            f"non-canonical coefficient {c!r} in {p}"
+
+
+def assert_canonical(x: QRat):
+    assert_canonical_coeffs(x.num)
+    assert_canonical_coeffs(x.den)
+
+
+def test_integral_fractions_are_stored_as_int():
+    p = QPoly(-1, [Fraction(4, 2), Fraction(1, 3), Fraction(0), True])
+    assert p.coeffs == (2, Fraction(1, 3), 0, 1)
+    assert [type(c) for c in p.coeffs] == [int, Fraction, int, int]
+    assert p == QPoly(-1, [2, Fraction(1, 3), 0, 1])
+    assert hash(p) == hash(QPoly(-1, [2, Fraction(1, 3), 0, 1]))
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError, match="not an exact rational"):
+        QPoly(0, [0.5])
+    with pytest.raises(TypeError, match="not an exact rational"):
+        QRat(0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(qrats(), qrats(), small_fracs, st.integers(min_value=-3, max_value=3))
+def test_operations_keep_canonical_coefficient_types(a, b, c, k):
+    results = [a + b, a - b, a * b, -a, a.num.scale(c), a.den.scale(c),
+               QRat.from_json(a.to_json()), QPoly.from_json(a.num.to_json())]
+    if not b.is_zero():
+        results += [a / b, b.inv()]
+    if not a.is_zero() or k >= 0:
+        results.append(a ** k)
+    for x in results:
+        if isinstance(x, QPoly):
+            assert_canonical_coeffs(x)
+        else:
+            assert_canonical(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qrats(), st.integers(min_value=-5, max_value=5).filter(bool))
+def test_eval_at_int_point_is_a_fraction(a, q0):
+    try:
+        value = a.eval(q0)
+    except ZeroDivisionError:
+        return
+    assert type(value) is Fraction
+    assert type(a.num.eval(q0)) is Fraction
+
+
+def test_eval_negative_powers_at_int_point_is_a_fraction():
+    x = qpow(-3, 2) + qpow(-1)
+    assert x.eval(2) == Fraction(3, 4)
+    assert type(x.eval(2)) is Fraction
+    assert type(x.num.eval(2)) is Fraction
+    y = qnum(1) / (qnum(1) + qpow(3))
+    assert y.eval(-2) == Fraction(-1, 7)
+    assert type(y.eval(-2)) is Fraction
+    assert type(QPoly.zero().eval(3)) is Fraction
+
+
+# -- reduction: trial division over the factors of 1+q^3 vs Euclid --------
+
+def _power(f, e):
+    out = QPoly.one()
+    for _ in range(e):
+        out = out * QPoly(0, f)
+    return out
+
+
+int_or_frac = st.one_of(
+    st.integers(min_value=-6, max_value=6), small_fracs)
+dense_polys = st.lists(int_or_frac, min_size=1, max_size=5).map(
+    lambda cs: QPoly(0, cs)).filter(lambda p: not p.is_zero())
+exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(_FACTORS))
+
+
+def test_engine_denominators_take_the_fast_path():
+    assert _factor_exponents((1, 0, 0, 1)) == (1, 1, 0)        # 1+q^3
+    assert _factor_exponents((2, 0, 0, 2)) == (1, 1, 0)        # 2+2q^3
+    assert _factor_exponents((-1, 0, 1)) == (1, 0, 1)          # q^2-1
+    assert _factor_exponents((1, 0, 0, 2, 0, 0, 1)) == (2, 2, 0)
+    assert _factor_exponents((1, 0, 1)) is None                # 1+q^2
+    assert _factor_exponents((1, 1, 1)) is None                # 1+q+q^2
+
+
+@settings(max_examples=120, deadline=None)
+@given(dense_polys, exponents, exponents,
+       int_or_frac.filter(bool), st.integers(min_value=-3, max_value=3))
+def test_fast_reduction_equals_euclid(u, num_exps, den_exps, c, shift):
+    num = u.shift(shift)
+    den = QPoly(0, [c])
+    for f, i, j in zip(_FACTORS, num_exps, den_exps):
+        num = num * _power(f, i)
+        den = den * _power(f, j)
+    a = list(num.shift(-num.valuation()).coeffs)
+    b = list(den.coeffs)
+    assert _factor_exponents(tuple(b)) is not None or len(b) == 1
+    fa, fb = _reduce(a, b)
+    ea, eb = _reduce_euclid(a, b)
+    assert QPoly(0, fa) == QPoly(0, ea)
+    assert QPoly(0, fb) == QPoly(0, eb)
+    assert [type(x) for x in QPoly(0, fa).coeffs] == \
+        [type(x) for x in QPoly(0, ea).coeffs]
+    x = QRat(num, den)
+    assert_canonical(x)
+    assert x.den.leading_coeff() == 1 and x.den.valuation() == 0
+    assert _list_gcd(x.num.coeffs, x.den.coeffs) == [1]
+    assert x * QRat(den) == QRat(num)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_polys, exponents, exponents, st.sampled_from([
+    QPoly(0, [1, 0, 1]), QPoly(0, [2, 1]), QPoly(0, [1, 1, 1, 1, 1]),
+    QPoly(0, [Fraction(1, 2), 0, 0, 1])]))
+def test_unlisted_denominator_factor_still_reduces(u, num_exps, den_exps, g):
+    num, den = u, g
+    for f, i, j in zip(_FACTORS, num_exps, den_exps):
+        num = num * _power(f, i)
+        den = den * _power(f, j)
+    assert _factor_exponents(tuple(den.coeffs)) is None
+    x = QRat(num, den)
+    assert_canonical(x)
+    assert x.den.leading_coeff() == 1
+    assert _list_gcd(x.num.coeffs, x.den.coeffs) == [1]
+    assert x == QRat(num * g, den * g)
+    assert x * QRat(den) == QRat(num)

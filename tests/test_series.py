@@ -116,6 +116,38 @@ def test_eval_exact_examples():
     assert gamma.eval_exact(next(vals), [next(vals), next(vals)]) == 1
 
 
+def _assert_exact(x):
+    for p in (x.num, x.den):
+        for c in p.coeffs:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_weight_and_mode_coefficients_are_canonical_exact():
+    from uqa22.projection import mode_expand, weight_plus_closed
+    w = weight_plus_closed(3, 4)
+    modes = mode_expand(w, 3)
+    seen = 0
+    for expr in (w.expr, modes):
+        for series in expr.coeffs.values():
+            for c in series.terms.values():
+                _assert_exact(c)
+                seen += 1
+    assert seen > 100
+
+
+def test_eval_exact_at_int_inputs_is_a_fraction():
+    rho = build_block("rho", ArgList((1,), 2), 1, 2)
+    alpha = build_kernel("alpha", qpow(1, -1), 1, 2, 2)
+    for fr, zs in ((rho, [5, 3]), (alpha, [2, 7]), (alpha.inv(), [2, 7])):
+        value = fr.eval_exact(2, zs)
+        assert type(value) is Fraction
+        assert value == fr.eval_exact(Fraction(2), [Fraction(z) for z in zs])
+    neg = FactoredRational(2, qpow(-3), (-2, 1), [(qnum(1), 1, qpow(-1), 2, -2)])
+    value = neg.eval_exact(3, [2, 5])
+    assert type(value) is Fraction
+    assert value == Fraction(1, 27) * Fraction(5, 4) / (2 + Fraction(5, 3)) ** 2
+
+
 def test_eval_exact_pole_hit():
     fr = FactoredRational(2, 1, None, [(qnum(1), 1, qnum(-1), 2, -1)])
     with pytest.raises(ZeroDivisionError, match="pole hit"):
