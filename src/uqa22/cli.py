@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__, render
@@ -39,8 +40,46 @@ _SCALES = {"1": qnum(1), "-q": qpow(1, -1), "-q^-1": qpow(-1, -1),
            "q": qpow(1), "q^2": qpow(2), "q^3": qpow(3), "-q^3": qpow(3, -1)}
 
 
+def _json_text(obj, indent: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1)`` of an exact value,
+    nested at ``indent``.  Each container joins its items once."""
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = indent + " "
+        for key in obj:
+            if type(key) is not str:
+                raise TypeError(f"non-string key {key!r} in canonical JSON")
+        items = [encode_basestring_ascii(k) + ": " + _json_text(obj[k], inner)
+                 for k in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = indent + " "
+        items = [_json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if t is int:
+        return int.__repr__(obj)
+    raise TypeError(f"{t.__name__} value {obj!r} is not allowed in canonical JSON")
+
+
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """The canonical artifact text: sorted keys, one-space indent, ASCII.
+
+    Only str, int, bool, None, lists, tuples and str-keyed dicts are
+    accepted; a float or any other type raises ``TypeError``.
+    """
+    return _json_text(obj, "") + "\n"
 
 
 def _cache_dir(args) -> Path | None:
@@ -211,11 +250,18 @@ def _parse_row(text: str):
     return tuple(int(x) for x in text.split(",")) if text else ()
 
 
+def _check_indices(n: int, *indices):
+    for x in indices:
+        if not 1 <= x <= n:
+            raise ValueError(f"index {x} is out of range 1..{n}")
+
+
 def _cmd_blocks(args) -> int:
     kind = args.kind
     if kind in ("alpha", "beta", "gamma"):
         if args.i is None or args.j is None:
             raise SystemExit(f"uqa22: {kind} needs --i and --j")
+        _check_indices(args.n, args.i, args.j)
         fr = build_kernel(kind, _SCALES[args.scale], args.i, args.j, args.n)
     elif kind == "matrices":
         m, v, w = build_matrices(_SCALES[args.scale], args.n)
@@ -233,6 +279,7 @@ def _cmd_blocks(args) -> int:
         if args.k is None or args.target is None:
             raise SystemExit(f"uqa22: {kind} needs --row, --k and --target")
         row = _parse_row(args.row)
+        _check_indices(args.n, *row, args.k, args.target)
         arglist = ArgList(row, args.target)
         if kind.endswith("-tilde"):
             fr = build_tilde_block(kind[:-6], arglist, args.k, args.n)
@@ -253,7 +300,7 @@ def _cmd_verify(args) -> int:
     text = _canonical_json(rep.to_json())
     if args.report:
         _atomic_write(Path(args.report), text)
-    status = "ok" if rep.passed else "FAILED"
+    status = "ok" if rep.passed else "FAILED" if rep.cases else "FAILED: no case ran"
     print(f"suite {rep.suite}: {rep.cases} cases, "
           f"{len(rep.failures)} failures [{status}]")
     for f in rep.failures:
@@ -334,7 +381,12 @@ def _validate(args):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _validate(args)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # an input the parser cannot judge alone (a repeated index, a
+        # size past a suite's cap); arithmetic faults still propagate
+        raise SystemExit(f"uqa22: {exc}") from None
 
 
 if __name__ == "__main__":

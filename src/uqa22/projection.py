@@ -27,7 +27,7 @@ from .ncalg import (
     NCExpr,
     abstract,
 )
-from .qfield import QRat, qnum, qpow
+from .qfield import ONE, QRat, _factor_exponents, qnum, qpow
 from .series import ExpansionSeries, FactoredRational, unit_vec
 
 PLUS = "plus"
@@ -190,6 +190,19 @@ def _s_tilde_expr(row_key, target: int, n: int, depth: int) -> NCExpr:
         coeffs[(abstract(PS_TILDE_MINUS, k, True),)] = \
             -build_tilde_block("nu", args, k, n).expand(depth)
     return NCExpr(n, coeffs)
+
+
+def clear_caches():
+    """Empty the F/S building-block caches and the denominator
+    factorisation memo of ``qfield``.
+
+    The caches are unbounded and live for the process; a long-running
+    caller that has finished with a size can free them.  Values computed
+    afterwards are equal to the cached ones.
+    """
+    for cache in (_f_expr, _s_expr, _f_tilde_expr, _s_tilde_expr,
+                  _factor_exponents):
+        cache.cache_clear()
 
 
 def build_F(args: ArgList, n: int, depth: int) -> WeightExpr:
@@ -405,13 +418,11 @@ def _f(idx: int) -> ModeSymbol:
     return ModeSymbol("f", idx)
 
 
-def _mode_table(entries, i, n, prefactor, twist):
+def _mode_table(entries, i, n, twist):
     """Assemble sum_m coeff * word * z_i^-m from (m, word, coeff) rows."""
     acc = {}
     for m, word, coeff in entries:
-        c = prefactor * coeff
-        if twist is not None:
-            c = c * twist ** (-m)
+        c = coeff if twist is None else coeff * twist ** (-m)
         acc.setdefault(word, {}).setdefault(-m, QRat.of(0))
         acc[word][-m] = acc[word][-m] + c
     coeffs = {}
@@ -421,22 +432,29 @@ def _mode_table(entries, i, n, prefactor, twist):
     return NCExpr(n, coeffs)
 
 
-def _pf_plus_modes(i: int, n: int, window: int) -> NCExpr:
+# Each symbol's mode series is a prefactor times a table whose
+# coefficients are integer Laurent polynomials in q (the twists -q and
+# -q^-1 are integral too).  mode_expand multiplies a word's coefficient
+# by its symbols' prefactors once, so the table products never reduce.
+_PS_PLUS_PREFACTOR = qnum(-1) / (qpow(1) + qpow(-2))
+_PS_TILDE_MINUS_PREFACTOR = qnum(1) / (qnum(1) + qpow(3))
+
+
+def _pf_plus_table(i: int, n: int, window: int) -> NCExpr:
     rows = [(m, (_f(m),), qnum(1)) for m in range(1, window + 1)]
-    return _mode_table(rows, i, n, qnum(1), None)
+    return _mode_table(rows, i, n, None)
 
 
-def _pf_minus_modes(i: int, n: int, window: int) -> NCExpr:
+def _pf_minus_table(i: int, n: int, window: int) -> NCExpr:
     rows = [(m, (_f(m),), qnum(1)) for m in range(0, -window - 1, -1)]
-    return _mode_table(rows, i, n, qnum(1), None)
+    return _mode_table(rows, i, n, None)
 
 
-def _ps_plus_modes(i: int, n: int, window: int, twisted: bool) -> NCExpr:
+def _ps_plus_table(i: int, n: int, window: int, twisted: bool) -> NCExpr:
     # -1/(q + q^-2) * sum_{m>0} (q f_m f_0 - f_0 f_m + f_1 f_{m-1}
     #                            - q^-1 f_{m-1} f_1) z^-m
     # the m = window+1 row is kept so that every word with both mode
     # indices inside the window is complete
-    pref = qnum(-1) / (qpow(1) + qpow(-2))
     rows = []
     for m in range(1, window + 2):
         rows.append((m, (_f(m), _f(0)), qpow(1)))
@@ -444,13 +462,12 @@ def _ps_plus_modes(i: int, n: int, window: int, twisted: bool) -> NCExpr:
         rows.append((m, (_f(1), _f(m - 1)), qnum(1)))
         rows.append((m, (_f(m - 1), _f(1)), qpow(-1, -1)))
     twist = TWIST_SCALE[PS_PLUS] if twisted else None
-    return _mode_table(rows, i, n, pref, twist)
+    return _mode_table(rows, i, n, twist)
 
 
-def _ps_tilde_minus_modes(i: int, n: int, window: int, twisted: bool) -> NCExpr:
+def _ps_tilde_minus_table(i: int, n: int, window: int, twisted: bool) -> NCExpr:
     # 1/(1 + q^3) * sum_{m<=0} (f_0 f_m - q f_m f_0 + q f_{m-1} f_1
     #                           - q^2 f_1 f_{m-1}) z^-m
-    pref = qnum(1) / (qnum(1) + qpow(3))
     rows = []
     for m in range(0, -window - 1, -1):
         rows.append((m, (_f(0), _f(m)), qnum(1)))
@@ -458,20 +475,31 @@ def _ps_tilde_minus_modes(i: int, n: int, window: int, twisted: bool) -> NCExpr:
         rows.append((m, (_f(m - 1), _f(1)), qpow(1)))
         rows.append((m, (_f(1), _f(m - 1)), qpow(2, -1)))
     twist = TWIST_SCALE[PS_TILDE_MINUS] if twisted else None
-    return _mode_table(rows, i, n, pref, twist)
+    return _mode_table(rows, i, n, twist)
+
+
+def _ps_plus_modes(i: int, n: int, window: int, twisted: bool) -> NCExpr:
+    return _ps_plus_table(i, n, window, twisted).scale(_PS_PLUS_PREFACTOR)
+
+
+def _symbol_table(sym, n: int, window: int):
+    """(prefactor, integer table) whose product is the symbol's modes."""
+    if sym.kind == PF_PLUS:
+        return ONE, _pf_plus_table(sym.var, n, window)
+    if sym.kind == PF_MINUS:
+        return ONE, _pf_minus_table(sym.var, n, window)
+    if sym.kind == PS_PLUS:
+        return _PS_PLUS_PREFACTOR, _ps_plus_table(sym.var, n, window, sym.twisted)
+    if sym.kind == PS_TILDE_MINUS:
+        return (_PS_TILDE_MINUS_PREFACTOR,
+                _ps_tilde_minus_table(sym.var, n, window, sym.twisted))
+    raise ValueError(f"unknown symbol kind {sym.kind!r}")
 
 
 def symbol_modes(sym, n: int, window: int) -> NCExpr:
     """Mode expansion of one abstract projection symbol."""
-    if sym.kind == PF_PLUS:
-        return _pf_plus_modes(sym.var, n, window)
-    if sym.kind == PF_MINUS:
-        return _pf_minus_modes(sym.var, n, window)
-    if sym.kind == PS_PLUS:
-        return _ps_plus_modes(sym.var, n, window, sym.twisted)
-    if sym.kind == PS_TILDE_MINUS:
-        return _ps_tilde_minus_modes(sym.var, n, window, sym.twisted)
-    raise ValueError(f"unknown symbol kind {sym.kind!r}")
+    prefactor, table = _symbol_table(sym, n, window)
+    return table.scale(prefactor)
 
 
 def mode_expand(w: WeightExpr, window: int) -> NCExpr:
@@ -479,7 +507,8 @@ def mode_expand(w: WeightExpr, window: int) -> NCExpr:
 
     The result is exact on every word whose mode indices all lie inside
     [-window, window]; a few exact boundary words just outside are kept
-    rather than pruned.
+    rather than pruned.  Each word's coefficient is scaled by the product
+    of its symbols' prefactors before the integer tables multiply in.
     """
     if window < 1:
         raise ValueError("window must be positive")
@@ -487,12 +516,19 @@ def mode_expand(w: WeightExpr, window: int) -> NCExpr:
     total = NCExpr.zero(n)
     cache = {}
     for word, coeff in w.expr.coeffs.items():
-        term = NCExpr(n, {(): coeff})
+        prefactor = ONE
+        tables = []
         for sym in word:
-            part = cache.get(sym)
-            if part is None:
-                part = cache[sym] = symbol_modes(sym, n, window)
-            term = term * part
+            entry = cache.get(sym)
+            if entry is None:
+                entry = cache[sym] = _symbol_table(sym, n, window)
+            prefactor = prefactor * entry[0]
+            tables.append(entry[1])
+        if not prefactor.is_one():
+            coeff = coeff.scale(prefactor)
+        term = NCExpr(n, {(): coeff})
+        for table in tables:
+            term = term * table
         total = total + term
     return total
 

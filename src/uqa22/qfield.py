@@ -124,7 +124,24 @@ class QPoly:
         c = _coeff(c)
         if c == 0:
             return QPoly.zero()
-        return QPoly(self.off, [a * c for a in self.coeffs])
+        return self.times_term(0, c)
+
+    def times_term(self, k: int, c) -> "QPoly":
+        """Multiply by c*q^k for a nonzero canonical coefficient c.
+
+        The ends stay nonzero, so nothing is trimmed; an integral product
+        of a ``Fraction`` is still turned into an ``int``.
+        """
+        out = QPoly.__new__(QPoly)
+        out.off = self.off + k
+        if c == 1:
+            out.coeffs = self.coeffs
+        elif type(c) is int:
+            out.coeffs = tuple([a * c if type(a) is int else _coeff(a * c)
+                                for a in self.coeffs])
+        else:
+            out.coeffs = tuple([_coeff(a * c) for a in self.coeffs])
+        return out
 
     def __neg__(self) -> "QPoly":
         return QPoly(self.off, [-a for a in self.coeffs])
@@ -458,14 +475,25 @@ class QRat:
         return QRat(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other) -> "QRat":
-        other = QRat.of(other)
-        if self.is_zero() or other.is_zero():
+        if type(other) is not QRat:
+            other = QRat.of(other)
+        num, onum = self.num, other.num
+        if not num.coeffs or not onum.coeffs:
             return QRat()
-        if self.den.is_one() and other.den.is_one():
-            num = self.num * other.num
-            # re-canonicalize only when a unit denominator hides nothing
-            return QRat(num, QPoly.one(), _canonical=True)
-        return QRat(self.num * other.num, self.den * other.den)
+        # a unit-denominator monomial c*q^k shares no factor with a
+        # canonical denominator (valuation 0, so q does not divide it):
+        # multiplying by it keeps the form reduced
+        if len(onum.coeffs) == 1 and other.den.is_one():
+            return QRat(num.times_term(onum.off, onum.coeffs[0]), self.den,
+                        _canonical=True)
+        if self.den.is_one():
+            if len(num.coeffs) == 1:
+                return QRat(onum.times_term(num.off, num.coeffs[0]), other.den,
+                            _canonical=True)
+            if other.den.is_one():
+                # re-canonicalize only when a unit denominator hides nothing
+                return QRat(num * onum, QPoly.one(), _canonical=True)
+        return QRat(num * onum, self.den * other.den)
 
     def __truediv__(self, other) -> "QRat":
         return self * QRat.of(other).inv()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 
 from .ncalg import ModeSymbol, principal_degree
@@ -135,17 +136,20 @@ def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
         for a, c in series.terms.items():
             if all(abs(e) <= window for e in a):
                 by_exp.setdefault(a, []).append((word, c))
-    coupling = _coupling() ** m / factorial(m)
-    terms = {}
+    sums = {}
     for pairs in by_exp.values():
         for wl, cl in pairs:
             left = _iota_word(wl)
             for wr, cr in pairs:
                 key = (left, wr)
-                c = coupling * cl * cr
-                t = terms.get(key)
-                terms[key] = c if t is None else t + c
-    return TensorExpr(terms, m, window)
+                c = cl * cr
+                t = sums.get(key)
+                sums[key] = c if t is None else t + c
+    # the coupling (q-q^-1)^m/m! is a common factor: multiply it in once
+    # per key, the integer part first and 1/m! as a constant monomial
+    power, inv_fact = _coupling() ** m, qnum(Fraction(1, factorial(m)))
+    return TensorExpr({k: c * power * inv_fact for k, c in sums.items()},
+                      m, window)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ and exact evaluation all happen on this form.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import count
 from math import comb
 
 from .qfield import QRat
@@ -35,7 +37,7 @@ _ONE = QRat(1)
 
 def ratio_degree(a) -> int:
     """d(a) = sum_i i * a_i with 1-based variable positions."""
-    return sum((i + 1) * e for i, e in enumerate(a))
+    return sum(map(operator.mul, count(1), a))
 
 
 def vec_add(a, b):
@@ -64,6 +66,14 @@ class ExpansionSeries:
             if (not lower and d <= validity) or (lower and d >= validity):
                 out[a] = c
         self.terms = out
+
+    @classmethod
+    def _of(cls, n: int, terms: dict, validity, lower: bool) -> "ExpansionSeries":
+        """Adopt ``terms`` as they are: the caller guarantees that every
+        coefficient is nonzero and every exponent inside the bound."""
+        out = cls.__new__(cls)
+        out.n, out.terms, out.validity, out.lower = n, terms, validity, lower
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -109,11 +119,25 @@ class ExpansionSeries:
             validity = max(self.validity, other.validity)
         else:
             validity = min(self.validity, other.validity)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
+        # only coinciding terms can cancel
+        terms = self._clipped(validity)
+        for a, c in other._clipped(validity).items():
             s = terms.get(a)
-            terms[a] = c if s is None else s + c
-        return ExpansionSeries(self.n, terms, validity, self.lower)
+            if s is None:
+                terms[a] = c
+            elif (s := s + c).is_zero():
+                del terms[a]
+            else:
+                terms[a] = s
+        return ExpansionSeries._of(self.n, terms, validity, self.lower)
+
+    def _clipped(self, validity) -> dict:
+        """A fresh dict of the stored terms inside the bound ``validity``."""
+        if validity == self.validity:
+            return dict(self.terms)
+        if self.lower:
+            return {a: c for a, c in self.terms.items() if ratio_degree(a) >= validity}
+        return {a: c for a, c in self.terms.items() if ratio_degree(a) <= validity}
 
     def __neg__(self) -> "ExpansionSeries":
         return ExpansionSeries(
@@ -131,20 +155,31 @@ class ExpansionSeries:
             self.n, {a: s * c for a, s in self.terms.items()},
             self.validity, self.lower)
 
-    def mul_monomial(self, a, coeff=_ONE) -> "ExpansionSeries":
-        a = tuple(a)
-        shift = ratio_degree(a)
-        coeff = QRat.of(coeff)
-        validity = self.validity if self.validity == INF else self.validity + shift
-        return ExpansionSeries(
-            self.n,
-            {vec_add(b, a): c * coeff for b, c in self.terms.items()},
-            validity, self.lower)
+    def _shift_scale(self, a, c) -> "ExpansionSeries":
+        """Product with the exact single term c*z^a.
+
+        Every stored exponent b has d(b) <= validity, so every shifted
+        exponent satisfies d(a+b) <= validity + d(a), the bound of the
+        product; nonzero coefficients stay nonzero.  The result is
+        therefore built directly, without re-filtering its terms.
+        """
+        if c.is_one():
+            terms = {tuple(map(operator.add, b, a)): s for b, s in self.terms.items()}
+        else:
+            terms = {tuple(map(operator.add, b, a)): s * c
+                     for b, s in self.terms.items()}
+        return ExpansionSeries._of(self.n, terms, self.validity + ratio_degree(a), False)
 
     def mul(self, other: "ExpansionSeries") -> "ExpansionSeries":
         self._check_mate(other)
         if self.lower:
             raise ValueError("product of inverted-domain series is not supported")
+        if other.validity == INF and len(other.terms) == 1:
+            (a, c), = other.terms.items()
+            return self._shift_scale(a, c)
+        if self.validity == INF and len(self.terms) == 1:
+            (a, c), = self.terms.items()
+            return other._shift_scale(a, c)
         va = self.validity + other.min_degree_bound()
         vb = other.validity + self.min_degree_bound()
         validity = min(va, vb)

@@ -49,7 +49,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """True when at least one case ran and none failed."""
+        return self.cases > 0 and not self.failures
 
     def record(self, case_id: str, ok: bool, detail: str = ""):
         self.cases += 1
@@ -72,10 +73,17 @@ def _rationals(rng: random.Random):
             * rng.choice([1, -1])
 
 
+_BRUTE_MAX_N = 10
+
+
+def _check_brute_size(n: int):
+    if n > _BRUTE_MAX_N:
+        raise ValueError(f"brute-force enumeration is capped at n = {_BRUTE_MAX_N}")
+
+
 def brute_admissible(n: int, r: int, orientation: str):
     """Reference enumeration by filtering all ordered disjoint pairs."""
-    if n > 10:
-        raise ValueError("brute-force enumeration is capped at n = 10")
+    _check_brute_size(n)
     if r == 0:
         return [((), ())]
     out = []
@@ -311,6 +319,7 @@ def _suite_duality(n, depth, window, seed) -> SuiteReport:
 
 def _suite_enumeration(n, depth, window, seed) -> SuiteReport:
     n = 8 if n is None else n
+    _check_brute_size(n)   # before the smaller sizes run
     rep = SuiteReport("enumeration", params={"n": n})
     for size in range(1, n + 1):
         for orientation in (PLUS, MINUS):
@@ -329,6 +338,9 @@ def _suite_enumeration(n, depth, window, seed) -> SuiteReport:
 def _suite_modes(n, depth, window, seed) -> SuiteReport:
     window = 6 if window is None else window
     depth = 4 if depth is None else depth
+    if window < 2:
+        raise ValueError("the modes suite compares windows w and w-1, "
+                         "so --window must be at least 2")
     rep = SuiteReport("modes", params={"window": window, "depth": depth})
     for case in goldens.golden_cases(depth=4, window=window):
         if case.kind == "mode":

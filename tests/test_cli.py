@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqa22 import cli
 from uqa22.cli import main
@@ -219,3 +221,71 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "beta"
+
+
+# -- canonical JSON writer ------------------------------------------------------
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-10**30, max_value=10**30),
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=8))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_values)
+def test_canonical_json_matches_json_dumps(obj):
+    assert cli._canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def test_canonical_json_edge_values():
+    obj = {"b": [], "a": {}, "é中\U0001f600": ["\n\"\\", -7, True, False, None],
+           "nested": [[[]], {"z": {"y": []}}]}
+    assert cli._canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("obj", [0.5, [1, 2.0], {"a": {"b": float("nan")}},
+                                 {1: "int key"}, {"a": {1, 2}}])
+def test_canonical_json_rejects_inexact_and_unknown_values(obj):
+    with pytest.raises(TypeError):
+        cli._canonical_json(obj)
+
+
+# -- bad inputs end with a message, not a traceback ------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    ("blocks rho --n 3 --row 1,5 --k 1 --target 3", "index 5 is out of range 1..3"),
+    ("blocks rho --n 3 --row 1,1 --k 1 --target 3", "repeated index in argument row"),
+    ("blocks rho --n 3 --row 1,5 --k 3 --target 3", "index 5 is out of range 1..3"),
+    ("blocks rho --n 3 --row 1,2 --k 3 --target 3", "index 3 is not in the argument row"),
+    ("blocks alpha --n 2 --i 1 --j 1", "kernel arguments must involve two distinct"),
+    ("blocks alpha --n 2 --i 1 --j 3", "index 3 is out of range 1..2"),
+    ("blocks matrices --n 1", "need at least two variables"),
+    ("verify --suite enumeration --n 11", "brute-force enumeration is capped at n = 10"),
+    ("verify --suite modes --window 1", "--window must be at least 2"),
+])
+def test_input_errors_exit_with_a_message(argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert isinstance(err.value.code, str)
+    assert err.value.code.startswith("uqa22: ")
+    assert message in err.value.code
+
+
+def test_input_error_prints_no_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "uqa22.cli", "blocks", "alpha", "--n", "2",
+         "--i", "1", "--j", "3"],
+        capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert proc.stderr == "uqa22: index 3 is out of range 1..2\n"
+
+
+@pytest.mark.parametrize("suite", ["oracle", "interp"])
+def test_verify_with_no_case_is_not_a_pass(suite, capsys):
+    code, out = invoke(capsys, ["verify", "--suite", suite, "--n", "1"])
+    assert code == 1
+    assert "0 cases" in out and "FAILED: no case ran" in out

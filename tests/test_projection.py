@@ -280,3 +280,61 @@ def test_double_involution_with_inversion_restores():
     assert set(back.coeffs) == set(me.coeffs)
     for w, s in me.coeffs.items():
         assert back.coeffs[w].terms == s.terms
+
+
+# -- prefactor-first expansion against the full symbol tables -----------------
+
+def _reference_mode_expand(w, window):
+    """The expansion with each symbol's prefactor-scaled table, multiplied
+    in word order and summed in coefficient order, as before the split."""
+    from uqa22.projection import symbol_modes
+    total = NCExpr.zero(w.n)
+    for word, coeff in w.expr.coeffs.items():
+        term = NCExpr(w.n, {(): coeff})
+        for sym in word:
+            term = term * symbol_modes(sym, w.n, window)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("closed", [weight_plus_closed, weight_minus_closed])
+def test_mode_expand_equals_the_full_table_products(n, closed):
+    w = closed(n, 3)
+    got, want = mode_expand(w, 3), _reference_mode_expand(w, 3)
+    assert got.validity == want.validity
+    assert set(got.coeffs) == set(want.coeffs)
+    for word, series in want.coeffs.items():
+        assert got.coeffs[word].validity == series.validity
+        assert got.coeffs[word].terms == series.terms
+    assert got.to_json() == want.to_json()
+
+
+def test_symbol_modes_is_the_prefactor_times_the_integer_table():
+    from uqa22.projection import _symbol_table, symbol_modes
+    from uqa22.ncalg import PF_MINUS, PF_PLUS, PS_PLUS, PS_TILDE_MINUS
+    for sym in (abstract(PF_PLUS, 2), abstract(PF_MINUS, 1),
+                abstract(PS_PLUS, 1), abstract(PS_PLUS, 2, True),
+                abstract(PS_TILDE_MINUS, 1), abstract(PS_TILDE_MINUS, 2, True)):
+        prefactor, table = _symbol_table(sym, 2, 4)
+        for series in table.coeffs.values():
+            for c in series.terms.values():
+                assert c.den.is_one()
+                assert all(type(x) is int for x in c.num.coeffs)
+        full = symbol_modes(sym, 2, 4)
+        assert set(full.coeffs) == set(table.coeffs)
+        for word, series in table.coeffs.items():
+            assert full.coeffs[word].terms == series.scale(prefactor).terms
+
+
+def test_clear_caches_empties_the_caches_and_recomputes_equal_values():
+    from uqa22 import projection, qfield
+    caches = (projection._f_expr, projection._s_expr, projection._f_tilde_expr,
+              projection._s_tilde_expr, qfield._factor_exponents)
+    before = weight_plus_closed(3, 3), weight_minus_closed(3, 3)
+    assert all(c.cache_info().currsize for c in caches)
+    projection.clear_caches()
+    assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
+    after = weight_plus_closed(3, 3), weight_minus_closed(3, 3)
+    for old, new in zip(before, after):
+        assert old.expr.to_json() == new.expr.to_json()

@@ -270,3 +270,33 @@ def test_unlisted_denominator_factor_still_reduces(u, num_exps, den_exps, g):
     assert _list_gcd(x.num.coeffs, x.den.coeffs) == [1]
     assert x == QRat(num * g, den * g)
     assert x * QRat(den) == QRat(num)
+
+
+# -- products with a unit-denominator monomial skip the reduction ----------
+
+@settings(max_examples=150, deadline=None)
+@given(dense_polys, exponents, int_or_frac.filter(bool),
+       st.integers(min_value=-4, max_value=4), st.integers(min_value=-3, max_value=3))
+def test_monomial_product_equals_the_normalising_product(u, den_exps, c, k, shift):
+    den = QPoly.one()
+    for f, e in zip(_FACTORS, den_exps):
+        den = den * _power(f, e)
+    x = QRat(u.shift(shift), den)
+    m = qpow(k, c)
+    # the path the fast one replaces: full product, then _normalize
+    reference = QRat(x.num * m.num, x.den * m.den)
+    for got in (x * m, m * x):
+        assert got.num.off == reference.num.off
+        assert got.num.coeffs == reference.num.coeffs
+        assert got.den.off == reference.den.off
+        assert got.den.coeffs == reference.den.coeffs
+        assert [type(v) for v in got.num.coeffs] == \
+            [type(v) for v in reference.num.coeffs]
+        assert_canonical(got)
+
+
+def test_monomial_product_turns_an_integral_fraction_into_an_int():
+    x = QRat(QPoly(0, [Fraction(3, 2), 1]), QPoly(0, [1, 0, 0, 1]))
+    for got in (x * qpow(2, Fraction(2, 3)), qpow(2, Fraction(2, 3)) * x):
+        assert got.num.coeffs == (1, Fraction(2, 3))
+        assert [type(v) for v in got.num.coeffs] == [int, Fraction]

@@ -160,3 +160,27 @@ def test_assemble_with_zero_effective_window():
     assert factors[0].terms == {((), ()): qnum(1)}
     assert factors[2].terms == {((), ()): qnum(1)}
     assert factors[3].terms == {((), ()): qnum(1)}
+
+
+@pytest.mark.parametrize("sign", "+-")
+@pytest.mark.parametrize("m", [1, 2])
+def test_r_factor_equals_the_per_pair_coupling_reference(sign, m):
+    # the loop that multiplied the coupling into every pairing product
+    from uqa22.projection import weight_minus_closed, weight_plus_closed
+    window, depth = 3, 4
+    weight = weight_plus_closed if sign == "+" else weight_minus_closed
+    modes = mode_expand(weight(m, max(depth, window * m * (m + 1) // 2)), window)
+    by_exp = {}
+    for word, series in modes.coeffs.items():
+        for a, c in series.terms.items():
+            if all(abs(x) <= window for x in a):
+                by_exp.setdefault(a, []).append((word, c))
+    cm = coupling ** m / factorial(m)
+    want = {}
+    for pairs in by_exp.values():
+        for wl, cl in pairs:
+            left = tuple(ModeSymbol("e", -s.index) for s in wl)
+            for wr, cr in pairs:
+                want[(left, wr)] = want.get((left, wr), qnum(0)) + cm * cl * cr
+    want = {k: v for k, v in want.items() if not v.is_zero()}
+    assert r_factor(sign, m, depth, window).terms == want

@@ -242,3 +242,72 @@ def test_validity_of_products():
         else:
             assert a.expand(3).validity == INF
     assert seen_truncated
+
+
+# -- single-term products and sums without re-filtering ----------------------
+
+def _normalising_product(a, b):
+    from uqa22.qfield import QRat
+    return QRat(a.num * b.num, a.den * b.den)
+
+
+def _reference_mul(x, y):
+    """The general convolution that the single-term path bypasses."""
+    validity = min(x.validity + y.min_degree_bound(),
+                   y.validity + x.min_degree_bound())
+    terms = {}
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            if ratio_degree(a) + ratio_degree(b) > validity:
+                continue
+            key = tuple(i + j for i, j in zip(a, b))
+            c = _normalising_product(ca, cb)
+            terms[key] = terms[key] + c if key in terms else c
+    return ExpansionSeries(x.n, terms, validity)
+
+
+def _reference_add(x, y):
+    """Sum followed by the filtering constructor."""
+    pick = max if x.lower else min
+    terms = dict(x.terms)
+    for a, c in y.terms.items():
+        terms[a] = terms[a] + c if a in terms else c
+    return ExpansionSeries(x.n, terms, pick(x.validity, y.validity), x.lower)
+
+
+_exps = st.tuples(*[st.integers(min_value=-2, max_value=2)] * 3)
+_coeffs = st.tuples(st.integers(min_value=-2, max_value=2),
+                    st.sampled_from([1, -1, 2, Fraction(1, 3)]),
+                    st.sampled_from([qnum(1), qnum(1) + qpow(3), qnum(1) + q,
+                                     q - qnum(1)])) \
+    .map(lambda t: qpow(t[0], t[1]) / t[2])
+_validities = st.one_of(st.just(INF), st.integers(min_value=-4, max_value=6))
+
+
+def series(lower=False, validity=_validities, max_size=6):
+    return st.builds(
+        lambda terms, v: ExpansionSeries(3, terms, -v if lower and v == INF else v,
+                                         lower),
+        st.dictionaries(_exps, _coeffs, max_size=max_size), validity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series(), _exps, st.one_of(_coeffs, st.just(qnum(1))))
+def test_single_term_product_equals_the_general_convolution(x, a, c):
+    term = ExpansionSeries(3, {a: c}, INF)
+    for got in (x.mul(term), term.mul(x)):
+        assert got == _reference_mul(x, term)
+        assert all(ratio_degree(b) <= got.validity for b in got.terms)
+        assert all(not s.is_zero() for s in got.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.data())
+def test_sum_equals_the_filtered_sum(lower, data):
+    x = data.draw(series(lower))
+    y = data.draw(series(lower))
+    # let some terms cancel exactly
+    cancel = data.draw(st.sets(st.sampled_from(sorted(x.terms)))) if x.terms else set()
+    y = y + ExpansionSeries(3, {a: -x.terms[a] for a in cancel}, y.validity, lower)
+    assert x + y == _reference_add(x, y)
+    assert y + x == _reference_add(y, x)

@@ -48,3 +48,17 @@ def test_reports_are_deterministic_and_serializable():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     c = run_suite("interp", n=3, seed=43).to_json()
     assert c["params"]["seed"] == 43
+
+
+@pytest.mark.parametrize("suite", ["oracle", "interp"])
+def test_a_run_with_no_case_does_not_pass(suite):
+    rep = run_suite(suite, n=1)
+    assert rep.cases == 0 and not rep.failures
+    assert not rep.passed
+
+
+def test_suite_size_limits_are_checked_up_front():
+    with pytest.raises(ValueError, match="capped at n = 10"):
+        run_suite("enumeration", n=11)
+    with pytest.raises(ValueError, match="at least 2"):
+        run_suite("modes", window=1)
