@@ -32,7 +32,6 @@ from .projection import (
     WeightTerm,
     admissible_pairs,
     build_F,
-    build_F_IJ,
     build_S,
     build_F_tilde,
     build_S_tilde,

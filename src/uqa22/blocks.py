@@ -1,9 +1,9 @@
 """Constructors for every scalar rational building block.
 
-All the interpolation coefficients (rho, lambda, mu, nu and their tilde
-mirrors), the exchange kernels alpha, beta, gamma with their residue
-data, and the Cauchy-type interpolation matrices are built here as
-FactoredRational values.  Blocks are kept factored and expanded only at
+The interpolation coefficients (rho, lambda, mu, nu and their tilde
+mirrors, from one table of factor templates), the exchange kernels
+alpha, beta, gamma with their residue data, and the Cauchy-type
+interpolation matrices are built here as FactoredRational values.  Blocks are kept factored and expanded only at
 the last moment, so the exact interpolation identities can be tested at
 the rational level where they hold literally.
 """
@@ -39,162 +39,98 @@ class ArgList(NamedTuple):
         return self
 
 
-def _require_k(args: ArgList, k: int):
+# -- interpolation blocks ---------------------------------------------------
+#
+# A block is scalar * (z_k if monomial) * prod (u*z_a + v*z_b)^m over its
+# factor templates (u, a, v, b, m), where a and b name t (the
+# distinguished variable), k or i (a row index): the lead templates once,
+# the cross templates for every row index i != k, then the row templates
+# for every row index, in that order.  The scalar (c, e, e_row) is
+# c * q^(e + e_row * len(row)).
+
+class _Block(NamedTuple):
+    scalar: tuple
+    monomial: bool
+    lead: tuple
+    cross: tuple
+    row: tuple
+
+
+_Q, _Q2, _Q3, _MQ2 = qpow(1), qpow(2), qpow(3), qpow(2, -1)
+_CROSS = ((ONE, "t", MINUS_ONE, "i", 1), (ONE, "k", MINUS_ONE, "i", -1))
+
+# keyed by (kind, tilde); the plus-side distinguished variable comes last,
+# the tilde one first
+_BLOCKS = {
+    ("rho", False): _Block((1, 0, 0), False, (), _CROSS, (
+        (ONE, "k", _MQ2, "i", 1), (ONE, "t", _MQ2, "i", -1))),
+    ("lambda", False): _Block((1, 0, 0), True, ((_Q, "t", ONE, "k", -1),), (), (
+        (ONE, "t", MINUS_ONE, "i", 1), (ONE, "k", _Q3, "i", 1),
+        (ONE, "k", _Q, "i", -1), (ONE, "t", _MQ2, "i", -1))),
+    ("mu", False): _Block((1, 0, 0), False, (), _CROSS, (
+        (ONE, "t", _Q, "i", 1), (ONE, "k", _MQ2, "i", 1),
+        (ONE, "k", _Q3, "i", 1), (ONE, "k", _Q, "i", -1),
+        (ONE, "t", _MQ2, "i", -1), (ONE, "t", _Q3, "i", -1))),
+    # the -q^m prefactor counts the row plus the distinguished variable
+    ("nu", False): _Block((-1, 1, 1), False, (), (
+        (ONE, "t", _Q, "i", 1), (ONE, "k", MINUS_ONE, "i", -1)), (
+        (ONE, "t", MINUS_ONE, "i", 1), (ONE, "k", _Q, "i", 1),
+        (ONE, "k", _MQ2, "i", 1), (_Q, "k", ONE, "i", -1),
+        (ONE, "t", _MQ2, "i", -1), (ONE, "t", _Q3, "i", -1))),
+    ("rho", True): _Block((1, 0, 0), False, (), _CROSS, (
+        (_Q2, "k", MINUS_ONE, "i", 1), (_Q2, "t", MINUS_ONE, "i", -1))),
+    ("lambda", True): _Block((-1, 1, 0), True, ((ONE, "t", _Q, "k", -1),), (), (
+        (ONE, "t", MINUS_ONE, "i", 1), (_Q3, "k", ONE, "i", 1),
+        (_Q, "k", ONE, "i", -1), (_Q2, "t", MINUS_ONE, "i", -1))),
+    ("mu", True): _Block((1, 0, 0), False, (), _CROSS, (
+        (_Q, "t", ONE, "i", 1), (_Q2, "k", MINUS_ONE, "i", 1),
+        (_Q3, "k", ONE, "i", 1), (_Q, "k", ONE, "i", -1),
+        (_Q2, "t", MINUS_ONE, "i", -1), (_Q3, "t", ONE, "i", -1))),
+    ("nu", True): _Block((-1, 0, 1), False, (), (
+        (_Q, "t", ONE, "i", 1), (ONE, "k", MINUS_ONE, "i", -1)), (
+        (ONE, "t", MINUS_ONE, "i", 1), (_Q, "k", ONE, "i", 1),
+        (_Q2, "k", MINUS_ONE, "i", 1), (ONE, "k", _Q, "i", -1),
+        (_Q2, "t", MINUS_ONE, "i", -1), (_Q3, "t", ONE, "i", -1))),
+}
+
+
+def _interpolation_block(kind: str, tilde: bool, args: ArgList, k: int,
+                         n: int) -> FactoredRational:
+    try:
+        spec = _BLOCKS[kind, tilde]
+    except KeyError:
+        raise ValueError(f"unknown block kind {kind!r}") from None
     args.check()
     if k not in args.prefix:
         raise ValueError(f"index {k} is not in the argument row")
-
-
-# -- interpolation blocks (distinguished variable last) --------------------
-
-def rho(args: ArgList, k: int, n: int) -> FactoredRational:
-    _require_k(args, k)
     row, t = args.prefix, args.target
-    fs = []
+
+    def place(templates, i=None):
+        at = {"t": t, "k": k, "i": i}
+        return [(u, at[a], v, at[b], m) for u, a, v, b, m in templates]
+
+    fs = place(spec.lead)
     for i in row:
         if i != k:
-            fs.append((ONE, t, MINUS_ONE, i, 1))
-            fs.append((ONE, k, MINUS_ONE, i, -1))
+            fs += place(spec.cross, i)
     for i in row:
-        fs.append((ONE, k, qpow(2, -1), i, 1))
-        fs.append((ONE, t, qpow(2, -1), i, -1))
-    return FactoredRational(n, ONE, None, fs)
-
-
-def lam(args: ArgList, k: int, n: int) -> FactoredRational:
-    _require_k(args, k)
-    row, t = args.prefix, args.target
-    fs = [(qpow(1), t, ONE, k, -1)]
-    for i in row:
-        fs.append((ONE, t, MINUS_ONE, i, 1))
-        fs.append((ONE, k, qpow(3), i, 1))
-        fs.append((ONE, k, qpow(1), i, -1))
-        fs.append((ONE, t, qpow(2, -1), i, -1))
-    mono = [0] * n
-    mono[k - 1] = 1
-    return FactoredRational(n, ONE, mono, fs)
-
-
-def mu(args: ArgList, k: int, n: int) -> FactoredRational:
-    _require_k(args, k)
-    row, t = args.prefix, args.target
-    fs = []
-    for i in row:
-        if i != k:
-            fs.append((ONE, t, MINUS_ONE, i, 1))
-            fs.append((ONE, k, MINUS_ONE, i, -1))
-    for i in row:
-        fs.append((ONE, t, qpow(1), i, 1))
-        fs.append((ONE, k, qpow(2, -1), i, 1))
-        fs.append((ONE, k, qpow(3), i, 1))
-        fs.append((ONE, k, qpow(1), i, -1))
-        fs.append((ONE, t, qpow(2, -1), i, -1))
-        fs.append((ONE, t, qpow(3), i, -1))
-    return FactoredRational(n, ONE, None, fs)
-
-
-def nu(args: ArgList, k: int, n: int) -> FactoredRational:
-    # the -q^m prefactor counts the row plus the distinguished variable
-    _require_k(args, k)
-    row, t = args.prefix, args.target
-    fs = []
-    for i in row:
-        if i != k:
-            fs.append((ONE, t, qpow(1), i, 1))
-            fs.append((ONE, k, MINUS_ONE, i, -1))
-    for i in row:
-        fs.append((ONE, t, MINUS_ONE, i, 1))
-        fs.append((ONE, k, qpow(1), i, 1))
-        fs.append((ONE, k, qpow(2, -1), i, 1))
-        fs.append((qpow(1), k, ONE, i, -1))
-        fs.append((ONE, t, qpow(2, -1), i, -1))
-        fs.append((ONE, t, qpow(3), i, -1))
-    return FactoredRational(n, qpow(len(row) + 1, -1), None, fs)
-
-
-# -- tilde mirrors (distinguished variable first) ---------------------------
-
-def rho_tilde(args: ArgList, k: int, n: int) -> FactoredRational:
-    _require_k(args, k)
-    row, t = args.prefix, args.target
-    fs = []
-    for i in row:
-        if i != k:
-            fs.append((ONE, t, MINUS_ONE, i, 1))
-            fs.append((ONE, k, MINUS_ONE, i, -1))
-    for i in row:
-        fs.append((qpow(2), k, MINUS_ONE, i, 1))
-        fs.append((qpow(2), t, MINUS_ONE, i, -1))
-    return FactoredRational(n, ONE, None, fs)
-
-
-def lam_tilde(args: ArgList, k: int, n: int) -> FactoredRational:
-    _require_k(args, k)
-    row, t = args.prefix, args.target
-    fs = [(ONE, t, qpow(1), k, -1)]
-    for i in row:
-        fs.append((ONE, t, MINUS_ONE, i, 1))
-        fs.append((qpow(3), k, ONE, i, 1))
-        fs.append((qpow(1), k, ONE, i, -1))
-        fs.append((qpow(2), t, MINUS_ONE, i, -1))
-    mono = [0] * n
-    mono[k - 1] = 1
-    return FactoredRational(n, qpow(1, -1), mono, fs)
-
-
-def mu_tilde(args: ArgList, k: int, n: int) -> FactoredRational:
-    _require_k(args, k)
-    row, t = args.prefix, args.target
-    fs = []
-    for i in row:
-        if i != k:
-            fs.append((ONE, t, MINUS_ONE, i, 1))
-            fs.append((ONE, k, MINUS_ONE, i, -1))
-    for i in row:
-        fs.append((qpow(1), t, ONE, i, 1))
-        fs.append((qpow(2), k, MINUS_ONE, i, 1))
-        fs.append((qpow(3), k, ONE, i, 1))
-        fs.append((qpow(1), k, ONE, i, -1))
-        fs.append((qpow(2), t, MINUS_ONE, i, -1))
-        fs.append((qpow(3), t, ONE, i, -1))
-    return FactoredRational(n, ONE, None, fs)
-
-
-def nu_tilde(args: ArgList, k: int, n: int) -> FactoredRational:
-    _require_k(args, k)
-    row, t = args.prefix, args.target
-    fs = []
-    for i in row:
-        if i != k:
-            fs.append((qpow(1), t, ONE, i, 1))
-            fs.append((ONE, k, MINUS_ONE, i, -1))
-    for i in row:
-        fs.append((ONE, t, MINUS_ONE, i, 1))
-        fs.append((qpow(1), k, ONE, i, 1))
-        fs.append((qpow(2), k, MINUS_ONE, i, 1))
-        fs.append((ONE, k, qpow(1), i, -1))
-        fs.append((qpow(2), t, MINUS_ONE, i, -1))
-        fs.append((qpow(3), t, ONE, i, -1))
-    return FactoredRational(n, qpow(len(row), -1), None, fs)
-
-
-_PLUS_BLOCKS = {"rho": rho, "lambda": lam, "mu": mu, "nu": nu}
-_TILDE_BLOCKS = {"rho": rho_tilde, "lambda": lam_tilde,
-                 "mu": mu_tilde, "nu": nu_tilde}
+        fs += place(spec.row, i)
+    c, e, e_row = spec.scalar
+    mono = None
+    if spec.monomial:
+        mono = [0] * n
+        mono[k - 1] = 1
+    return FactoredRational(n, qpow(e + e_row * len(row), c), mono, fs)
 
 
 def build_block(kind: str, args: ArgList, k: int, n: int) -> FactoredRational:
-    try:
-        return _PLUS_BLOCKS[kind](args, k, n)
-    except KeyError:
-        raise ValueError(f"unknown block kind {kind!r}") from None
+    """The plus-side block rho, lambda, mu or nu at row index k."""
+    return _interpolation_block(kind, False, args, k, n)
 
 
 def build_tilde_block(kind: str, args: ArgList, k: int, n: int) -> FactoredRational:
-    try:
-        return _TILDE_BLOCKS[kind](args, k, n)
-    except KeyError:
-        raise ValueError(f"unknown block kind {kind!r}") from None
+    """The tilde mirror of ``build_block``."""
+    return _interpolation_block(kind, True, args, k, n)
 
 
 # -- exchange kernels -------------------------------------------------------
@@ -216,6 +152,12 @@ _KERNELS = {
         ((ONE, qpow(2, -1)), (ONE, qpow(3)), (qpow(1), ONE)),
     ),
 }
+
+
+# kernel argument scales and matrix parameters c, by their command-line
+# spelling (the order of the ``--scale`` choices)
+SCALES = {"1": ONE, "-q": qpow(1, -1), "-q^-1": qpow(-1, -1), "q": _Q,
+          "q^2": _Q2, "q^3": _Q3, "-q^3": qpow(3, -1)}
 
 
 class KernelConstant(NamedTuple):

@@ -22,7 +22,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__, render
-from .blocks import ArgList, build_block, build_kernel, build_matrices, build_tilde_block
+from .blocks import (SCALES, ArgList, build_block, build_kernel, build_matrices,
+                     build_tilde_block)
 from .projection import (
     MINUS,
     PLUS,
@@ -30,14 +31,10 @@ from .projection import (
     weight_minus_closed,
     weight_plus_closed,
 )
-from .qfield import qnum, qpow
 from .rmatrix import assemble_R, cartan_coeff
 from .verify import SUITE_NAMES, run_suite
 
 SCHEMA_VERSION = 1
-
-_SCALES = {"1": qnum(1), "-q": qpow(1, -1), "-q^-1": qpow(-1, -1),
-           "q": qpow(1), "q^2": qpow(2), "q^3": qpow(3), "-q^3": qpow(3, -1)}
 
 
 def _json_text(obj, indent: str) -> str:
@@ -247,7 +244,10 @@ def _cmd_rmatrix(args) -> int:
 
 
 def _parse_row(text: str):
-    return tuple(int(x) for x in text.split(",")) if text else ()
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise ValueError(f"--row must be comma-separated integers, got {text!r}") from None
 
 
 def _check_indices(n: int, *indices):
@@ -262,9 +262,9 @@ def _cmd_blocks(args) -> int:
         if args.i is None or args.j is None:
             raise SystemExit(f"uqa22: {kind} needs --i and --j")
         _check_indices(args.n, args.i, args.j)
-        fr = build_kernel(kind, _SCALES[args.scale], args.i, args.j, args.n)
+        fr = build_kernel(kind, SCALES[args.scale], args.i, args.j, args.n)
     elif kind == "matrices":
-        m, v, w = build_matrices(_SCALES[args.scale], args.n)
+        m, v, w = build_matrices(SCALES[args.scale], args.n)
         out = {
             "schema": f"uqa22/matrices/v{SCHEMA_VERSION}",
             "c": args.scale,
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--target", type=int)
     b.add_argument("--i", type=int, help="kernel numerator variable")
     b.add_argument("--j", type=int, help="kernel denominator variable")
-    b.add_argument("--scale", default="1", choices=tuple(_SCALES),
+    b.add_argument("--scale", default="1", choices=tuple(SCALES),
                    help="kernel argument scale or matrix parameter c")
     common(b, ("json", "latex"))
     b.set_defaults(fn=_cmd_blocks)

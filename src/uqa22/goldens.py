@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .blocks import ArgList, build_block, build_kernel
+from .blocks import SCALES, ArgList, build_block, build_kernel
 from .ncalg import mode
 from .projection import (
     PLUS,
@@ -21,7 +21,7 @@ from .projection import (
     weight_structure,
     _ps_plus_modes,
 )
-from .qfield import QPoly, QRat, qnum, qpow
+from .qfield import QPoly, QRat, qnum
 from .series import FactoredRational
 
 
@@ -50,9 +50,6 @@ def display_to_factored(n: int, disp) -> FactoredRational:
     return FactoredRational(n, scalar, mono, factors)
 
 
-_SCALES = {"1": qnum(1), "-q": qpow(1, -1), "-q^-1": qpow(-1, -1)}
-
-
 def product_to_factored(n: int, prod) -> FactoredRational:
     """Turn a transcribed lambda-and-alphas product into a factored rational."""
     lam = prod["lambda"]
@@ -61,7 +58,7 @@ def product_to_factored(n: int, prod) -> FactoredRational:
     if prod.get("sign", 1) == -1:
         out = out.scale(-1)
     for a in prod["alphas"]:
-        out = out * build_kernel("alpha", _SCALES[a["scale"]],
+        out = out * build_kernel("alpha", SCALES[a["scale"]],
                                  a["num"], a["den"], n)
     return out
 

@@ -79,6 +79,12 @@ def principal_degree(word) -> int:
 _IOTA_FAMILY = {"e": "f", "f": "e", "a": "a"}
 
 
+def iota_word(word) -> tuple:
+    """The involution e_n -> f_{-n}, f_n -> e_{-n}, a_n -> a_{-n}, letter
+    by letter, in word order."""
+    return tuple(ModeSymbol(_IOTA_FAMILY[s.family], -s.index) for s in word)
+
+
 class NCExpr:
     """Finite linear combination of words with series coefficients.
 
@@ -227,8 +233,7 @@ class NCExpr:
             raise ValueError("the involution acts on mode words")
         coeffs = {}
         for w, s in self.coeffs.items():
-            w2 = tuple(ModeSymbol(_IOTA_FAMILY[m.family], -m.index) for m in w)
-            coeffs[w2] = s.invert_vars() if invert_vars else s
+            coeffs[iota_word(w)] = s.invert_vars() if invert_vars else s
         if not invert_vars:
             return NCExpr(self.n, coeffs, self.validity, self.lower)
         if self.validity in (INF, -INF):

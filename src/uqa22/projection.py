@@ -7,14 +7,17 @@ recursive evaluator that peels one current at a time, and the expansion
 of the abstract building blocks into current modes.
 
 The closed evaluator and the recursive evaluator share only the scalar
-block constructors; their agreement is the central correctness check.
+block constructors and the F/S expressions built from them; their
+agreement is the central correctness check.  The closed formula of
+either side is built from ``weight_structure``, the summand list that
+the LaTeX emitters and the structure goldens also read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .blocks import ArgList, build_block, build_kernel, build_tilde_block
 from .ncalg import (
@@ -151,45 +154,46 @@ def minus_tau_row(pair: AdmissiblePair, k: int):
 
 
 # -- building-block expressions ----------------------------------------------
+#
+# An F or S factor is its projection symbol at the target minus, for each
+# block kind and each row index k, the block times the symbol at z_k
+# (twisted for nu): F = Pf(t) - sum rho_k Pf(k),
+# S = Ps(t) - sum mu_k Ps(k) - sum nu_k Ps(-q k), and on the minus side
+# the same with the tilde blocks and symbols.
+_FS_FACTORS = {
+    ("F", PLUS): (PF_PLUS, (("rho", False),)),
+    ("S", PLUS): (PS_PLUS, (("mu", False), ("nu", True))),
+    ("F", MINUS): (PF_MINUS, (("rho", False),)),
+    ("S", MINUS): (PS_TILDE_MINUS, (("mu", False), ("nu", True))),
+}
 
-@lru_cache(maxsize=None)
-def _f_expr(row_key, target: int, n: int, depth: int) -> NCExpr:
-    coeffs = {(abstract(PF_PLUS, target),): ExpansionSeries.one(n)}
-    for k in row_key:
-        block = build_block("rho", ArgList(row_key, target), k, n)
-        coeffs[(abstract(PF_PLUS, k),)] = -block.expand(depth)
+
+def fs_terms(factor: str, orientation: str, args: ArgList, n: int):
+    """The F or S factor as its head symbol and the (block, symbol) pairs
+    it subtracts, in display order."""
+    symbol, kinds = _FS_FACTORS[factor, orientation]
+    # looked up per call, so a rebound build_block (a tracer's) is seen
+    build = build_block if orientation == PLUS else build_tilde_block
+    return abstract(symbol, args.target), [
+        (build(kind, args, k, n), abstract(symbol, k, twisted))
+        for kind, twisted in kinds for k in args.prefix]
+
+
+def _fs_expr(factor: str, orientation: str, row_key, target: int, n: int,
+             depth: int) -> NCExpr:
+    head, terms = fs_terms(factor, orientation, ArgList(row_key, target), n)
+    coeffs = {(head,): ExpansionSeries.one(n)}
+    for block, sym in terms:
+        coeffs[(sym,)] = -block.expand(depth)
     return NCExpr(n, coeffs)
 
 
-@lru_cache(maxsize=None)
-def _s_expr(row_key, target: int, n: int, depth: int) -> NCExpr:
-    coeffs = {(abstract(PS_PLUS, target),): ExpansionSeries.one(n)}
-    for k in row_key:
-        args = ArgList(row_key, target)
-        coeffs[(abstract(PS_PLUS, k),)] = -build_block("mu", args, k, n).expand(depth)
-        coeffs[(abstract(PS_PLUS, k, True),)] = -build_block("nu", args, k, n).expand(depth)
-    return NCExpr(n, coeffs)
-
-
-@lru_cache(maxsize=None)
-def _f_tilde_expr(row_key, target: int, n: int, depth: int) -> NCExpr:
-    coeffs = {(abstract(PF_MINUS, target),): ExpansionSeries.one(n)}
-    for k in row_key:
-        block = build_tilde_block("rho", ArgList(row_key, target), k, n)
-        coeffs[(abstract(PF_MINUS, k),)] = -block.expand(depth)
-    return NCExpr(n, coeffs)
-
-
-@lru_cache(maxsize=None)
-def _s_tilde_expr(row_key, target: int, n: int, depth: int) -> NCExpr:
-    coeffs = {(abstract(PS_TILDE_MINUS, target),): ExpansionSeries.one(n)}
-    for k in row_key:
-        args = ArgList(row_key, target)
-        coeffs[(abstract(PS_TILDE_MINUS, k),)] = \
-            -build_tilde_block("mu", args, k, n).expand(depth)
-        coeffs[(abstract(PS_TILDE_MINUS, k, True),)] = \
-            -build_tilde_block("nu", args, k, n).expand(depth)
-    return NCExpr(n, coeffs)
+# one cache per factor and side, kept under four names because the
+# benchmark harness and the tests read each one's statistics
+_FS_CACHES = {key: lru_cache(maxsize=None)(partial(_fs_expr, *key))
+              for key in _FS_FACTORS}
+_f_expr, _s_expr = _FS_CACHES["F", PLUS], _FS_CACHES["S", PLUS]
+_f_tilde_expr, _s_tilde_expr = _FS_CACHES["F", MINUS], _FS_CACHES["S", MINUS]
 
 
 def clear_caches():
@@ -200,40 +204,38 @@ def clear_caches():
     caller that has finished with a size can free them.  Values computed
     afterwards are equal to the cached ones.
     """
-    for cache in (_f_expr, _s_expr, _f_tilde_expr, _s_tilde_expr,
-                  _factor_exponents):
+    for cache in (*_FS_CACHES.values(), _factor_exponents):
         cache.cache_clear()
 
 
-def build_F(args: ArgList, n: int, depth: int) -> WeightExpr:
-    """F(row; target) = Pf(target) - sum_k rho_k * Pf(k), expanded.
+def build_fs(factor: str, orientation: str, args: ArgList, n: int,
+             depth: int) -> WeightExpr:
+    """The F or S factor of either side, expanded.
 
     The value is symmetric in the row, so the cache key sorts it.
     """
     args.check()
-    return WeightExpr(_f_expr(tuple(sorted(args.prefix)), args.target, n, depth),
-                      n, depth, PLUS)
+    expr = _FS_CACHES[factor, orientation](tuple(sorted(args.prefix)),
+                                           args.target, n, depth)
+    return WeightExpr(expr, n, depth, orientation)
+
+
+def build_F(args: ArgList, n: int, depth: int) -> WeightExpr:
+    """F(row; target) = Pf(target) - sum_k rho_k * Pf(k), expanded."""
+    return build_fs("F", PLUS, args, n, depth)
 
 
 def build_S(args: ArgList, n: int, depth: int) -> WeightExpr:
     """S(row; target) = Ps(target) - sum mu_k Ps(k) - sum nu_k Ps(-q k)."""
-    args.check()
-    return WeightExpr(_s_expr(tuple(sorted(args.prefix)), args.target, n, depth),
-                      n, depth, PLUS)
+    return build_fs("S", PLUS, args, n, depth)
 
 
 def build_F_tilde(args: ArgList, n: int, depth: int) -> WeightExpr:
-    args.check()
-    return WeightExpr(
-        _f_tilde_expr(tuple(sorted(args.prefix)), args.target, n, depth),
-        n, depth, MINUS)
+    return build_fs("F", MINUS, args, n, depth)
 
 
 def build_S_tilde(args: ArgList, n: int, depth: int) -> WeightExpr:
-    args.check()
-    return WeightExpr(
-        _s_tilde_expr(tuple(sorted(args.prefix)), args.target, n, depth),
-        n, depth, MINUS)
+    return build_fs("S", MINUS, args, n, depth)
 
 
 def tau_factored(pair: AdmissiblePair, k: int) -> FactoredRational:
@@ -272,72 +274,28 @@ def build_tau_IJ(pair: AdmissiblePair, k: int, depth: int) -> ExpansionSeries:
     return tau_factored(pair, k).expand(depth)
 
 
-def build_F_IJ(pair: AdmissiblePair, k: int, depth: int) -> WeightExpr:
-    """The F factor attached to the unpaired index k."""
-    if pair.orientation == PLUS:
-        row, target = plus_f_row(pair, k)
-        return build_F(ArgList(row, target), pair.n, depth)
-    row, target = minus_f_row(pair, k)
-    return build_F_tilde(ArgList(row, target), pair.n, depth)
-
-
 # -- the closed combinatorial formula -----------------------------------------
-
-def weight_plus_closed(n: int, depth: int) -> WeightExpr:
-    """Positive projection of f(z_1)...f(z_n) via the pair expansion."""
-    if n < 1:
-        raise ValueError("need at least one current")
-    total = NCExpr.zero(n)
-    for r in range(n // 2 + 1):
-        for pair in admissible_pairs(n, r, PLUS):
-            tau = FactoredRational.one(n)
-            for k in range(1, r + 1):
-                tau = tau * tau_factored(pair, k)
-            term = NCExpr.one(n)
-            for k in range(1, r + 1):
-                term = term * build_S(
-                    ArgList(pair.I[: k - 1], pair.I[k - 1]), n, depth).expr
-            for k in pair.complement():
-                term = term * build_F_IJ(pair, k, depth).expr
-            total = total + term.scale(tau.expand(depth))
-    return WeightExpr(total, n, depth, PLUS)
-
-
-def weight_minus_closed(n: int, depth: int) -> WeightExpr:
-    """Negative projection of f(z_1)...f(z_n); F factors first, then the
-    reversed row of S factors."""
-    if n < 1:
-        raise ValueError("need at least one current")
-    total = NCExpr.zero(n)
-    for r in range(n // 2 + 1):
-        for pair in admissible_pairs(n, r, MINUS):
-            tau = FactoredRational.one(n)
-            for k in range(1, r + 1):
-                tau = tau * tau_factored(pair, k)
-            term = NCExpr.one(n)
-            for k in pair.complement():
-                term = term * build_F_IJ(pair, k, depth).expr
-            for k in range(r, 0, -1):
-                row = tuple(reversed(pair.J[: k - 1]))
-                term = term * build_S_tilde(
-                    ArgList(row, pair.J[k - 1]), n, depth).expr
-            total = total + term.scale(tau.expand(depth))
-    return WeightExpr(total, n, depth, MINUS)
-
 
 @dataclass(frozen=True)
 class WeightTerm:
     """One summand of the closed formula, kept symbolic.
 
     ``tau`` holds the exact factored scalar coefficients, ``s_rows`` and
-    ``f_rows`` the (row, target) argument lists of the S and F factors in
-    multiplication order.
+    ``f_rows`` the (row, target) argument lists of the S and F factors,
+    each in multiplication order.
     """
 
     pair: AdmissiblePair
     tau: tuple
     s_rows: tuple
     f_rows: tuple
+
+    def factors(self):
+        """("S" or "F", row, target) for every factor in multiplication
+        order: S then F on the plus side, F then S on the minus side."""
+        s = [("S", row, t) for row, t in self.s_rows]
+        f = [("F", row, t) for row, t in self.f_rows]
+        return s + f if self.pair.orientation == PLUS else f + s
 
 
 def weight_structure(n: int, orientation: str):
@@ -358,6 +316,33 @@ def weight_structure(n: int, orientation: str):
                 f_rows = tuple(minus_f_row(pair, k) for k in pair.complement())
             out.append(WeightTerm(pair, tau, s_rows, f_rows))
     return out
+
+
+def _weight_closed(n: int, depth: int, orientation: str) -> WeightExpr:
+    """Sum over the summands of ``weight_structure`` of the product of
+    their tau coefficients times their F and S factors."""
+    total = NCExpr.zero(n)
+    for term in weight_structure(n, orientation):
+        tau = FactoredRational.one(n)
+        for fr in term.tau:
+            tau = tau * fr
+        expr = NCExpr.one(n)
+        for factor, row, target in term.factors():
+            expr = expr * build_fs(factor, orientation, ArgList(row, target),
+                                   n, depth).expr
+        total = total + expr.scale(tau.expand(depth))
+    return WeightExpr(total, n, depth, orientation)
+
+
+def weight_plus_closed(n: int, depth: int) -> WeightExpr:
+    """Positive projection of f(z_1)...f(z_n) via the pair expansion."""
+    return _weight_closed(n, depth, PLUS)
+
+
+def weight_minus_closed(n: int, depth: int) -> WeightExpr:
+    """Negative projection of f(z_1)...f(z_n); F factors first, then the
+    reversed row of S factors."""
+    return _weight_closed(n, depth, MINUS)
 
 
 # -- the independent recursive evaluator -------------------------------------

@@ -8,8 +8,9 @@ sums of f_k words with Laurent-monomial coefficients.
 
 from __future__ import annotations
 
+from .blocks import ArgList
 from .ncalg import AbstractSymbol, ModeSymbol, NCExpr
-from .projection import PLUS, weight_structure
+from .projection import PLUS, fs_terms, weight_structure
 from .qfield import QPoly, QRat
 from .series import ExpansionSeries, FactoredRational
 
@@ -154,71 +155,36 @@ def latex_ncexpr(x: NCExpr) -> str:
     return " + ".join(bits)
 
 
-def _latex_block_sum(kind: str, row, target, n, orientation) -> str:
+def _latex_block_sum(factor: str, row, target, n, orientation) -> str:
     """F or S factor written out as its defining combination."""
-    from . import blocks as B
-    args = B.ArgList(tuple(row), target)
-    plus = orientation == PLUS
-    if kind == "F":
-        sym = "P\\big(f(z_{%d})\\big)" % target if plus \
-            else "P^-\\big(f(z_{%d})\\big)" % target
-        build = B.build_block if plus else B.build_tilde_block
-        parts = [sym]
-        for k in row:
-            parts.append(
-                f"-{latex_ratio(build('rho', args, k, n))}"
-                + (f"P\\big(f(z_{{{k}}})\\big)" if plus
-                   else f"P^-\\big(f(z_{{{k}}})\\big)"))
-        return "".join(parts)
-    build = B.build_block if plus else B.build_tilde_block
-    if plus:
-        parts = [f"P\\big(s(z_{{{target}}})\\big)"]
-        twist = "-q"
-    else:
-        parts = [f"P^-\\big(\\tilde s(z_{{{target}}})\\big)"]
-        twist = "-q^{-1}"
-    for k in row:
-        parts.append(f"-{latex_ratio(build('mu', args, k, n))}"
-                     + ("P\\big(s(z_{%d})\\big)" % k if plus
-                        else "P^-\\big(\\tilde s(z_{%d})\\big)" % k))
-    for k in row:
-        parts.append(f"-{latex_ratio(build('nu', args, k, n))}"
-                     + ("P\\big(s(%sz_{%d})\\big)" % (twist, k) if plus
-                        else "P^-\\big(\\tilde s(%sz_{%d})\\big)" % (twist, k)))
-    return "".join(parts)
+    head, terms = fs_terms(factor, orientation, ArgList(tuple(row), target), n)
+    return latex_symbol(head) + "".join(
+        f"-{latex_ratio(block)}{latex_symbol(sym)}" for block, sym in terms)
+
+
+def _latex_lhs(n: int, orientation: str) -> str:
+    proj = "P" if orientation == PLUS else "P^-"
+    currents = "".join(f"f(z_{{{k}}})" for k in range(1, n + 1))
+    return f"{proj}\\big({currents}\\big) = "
 
 
 def latex_weight(n: int, orientation: str) -> str:
     """The closed formula with every block written out, unexpanded."""
     terms = []
     for term in weight_structure(n, orientation):
-        bits = []
-        for fr in term.tau:
-            bits.append(latex_ratio(fr))
-        factors = []
-        if orientation == PLUS:
-            for row, t in term.s_rows:
-                factors.append(_latex_block_sum("S", row, t, n, orientation))
-            for row, t in term.f_rows:
-                factors.append(_latex_block_sum("F", row, t, n, orientation))
-        else:
-            for row, t in term.f_rows:
-                factors.append(_latex_block_sum("F", row, t, n, orientation))
-            for row, t in term.s_rows:
-                factors.append(_latex_block_sum("S", row, t, n, orientation))
-        for f in factors:
-            bits.append(f"\\left({f}\\right)")
+        bits = [latex_ratio(fr) for fr in term.tau]
+        bits += [f"\\left({_latex_block_sum(*f, n, orientation)}\\right)"
+                 for f in term.factors()]
         terms.append("\\,".join(bits) if bits else "1")
-    proj = "P" if orientation == PLUS else "P^-"
-    currents = "".join(f"f(z_{{{k}}})" for k in range(1, n + 1))
-    lhs = f"{proj}\\big({currents}\\big)"
-    return f"{lhs} = " + " + ".join(terms)
+    return _latex_lhs(n, orientation) + " + ".join(terms)
 
 
 def latex_weight_summary(n: int, orientation: str) -> str:
     """The closed formula in compact notation: decorated tau symbols and
     F/S factors shown with their argument rows."""
     plus = orientation == PLUS
+    names = ({"S": "\\mathcal{S}", "F": "\\mathcal{F}"} if plus else
+             {"S": "\\tilde{\\mathcal{S}}", "F": "\\tilde{\\mathcal{F}}"})
 
     def args(row, target):
         inner = ",".join(f"z_{{{x}}}" for x in row)
@@ -233,19 +199,11 @@ def latex_weight_summary(n: int, orientation: str) -> str:
         pair = term.pair
         deco = ("_{\\{%s\\},\\{%s\\}}"
                 % (",".join(map(str, pair.I)), ",".join(map(str, pair.J))))
-        bits = []
-        for k in range(1, pair.r + 1):
-            head = "\\tau" if plus else "\\tilde\\tau"
-            bits.append(f"{head}^{{{k}}}{deco}")
-        s_name = "\\mathcal{S}" if plus else "\\tilde{\\mathcal{S}}"
-        f_name = "\\mathcal{F}" if plus else "\\tilde{\\mathcal{F}}"
-        s_bits = [f"{s_name}{args(row, t)}" for row, t in term.s_rows]
-        f_bits = [f"{f_name}{args(row, t)}" for row, t in term.f_rows]
-        bits += s_bits + f_bits if plus else f_bits + s_bits
+        head = "\\tau" if plus else "\\tilde\\tau"
+        bits = [f"{head}^{{{k}}}{deco}" for k in range(1, pair.r + 1)]
+        bits += [f"{names[f]}{args(row, t)}" for f, row, t in term.factors()]
         terms.append("\\,".join(bits) if bits else "1")
-    proj = "P" if plus else "P^-"
-    currents = "".join(f"f(z_{{{k}}})" for k in range(1, n + 1))
-    return f"{proj}\\big({currents}\\big) = " + " + ".join(terms)
+    return _latex_lhs(n, orientation) + " + ".join(terms)
 
 
 def text_weight_expr(expr: NCExpr) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .ncalg import ModeSymbol, principal_degree
+from .ncalg import ModeSymbol, iota_word, principal_degree
 from .qfield import QRat, qnum, qpow
 from .projection import mode_expand, weight_minus_closed, weight_plus_closed
 
@@ -102,11 +102,6 @@ def rbar_order(m: int, window: int) -> TensorExpr:
     return TensorExpr(terms, m, window)
 
 
-def _iota_word(word):
-    return tuple(ModeSymbol({"e": "f", "f": "e", "a": "a"}[s.family], -s.index)
-                 for s in word)
-
-
 def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
     """Order-m term of one R factor.
 
@@ -139,7 +134,7 @@ def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
     sums = {}
     for pairs in by_exp.values():
         for wl, cl in pairs:
-            left = _iota_word(wl)
+            left = iota_word(wl)
             for wr, cr in pairs:
                 key = (left, wr)
                 c = cl * cr

@@ -114,6 +114,7 @@ def test_cache_entry_with_foreign_schema_is_recomputed(tmp_path, capsys):
 # the integer coefficient ring; any change to these bytes is a regression
 # or a deliberate format change.
 _SMALL_MODES = ["--n", "3", "--depth", "4", "--modes", "--window", "3"]
+_BLOCK_ROW = ["--n", "4", "--row", "1,3", "--k", "3", "--target", "2"]
 ARTIFACT_SHA256 = {
     "weight-plus": (
         ["weight", "plus", *_SMALL_MODES],
@@ -124,6 +125,68 @@ ARTIFACT_SHA256 = {
     "rmatrix": (
         ["rmatrix", "--order", "2", "--window", "4"],
         "4d9d495c1e849aca75a4dcb3da9dfd0d162f9a9a45d081baa6818cb3946b7073"),
+    # recorded before the interpolation blocks became one table and the
+    # closed formula and LaTeX emitters one loop over weight_structure
+    "blocks-rho-json": (
+        ["blocks", "rho", *_BLOCK_ROW, "--format", "json"],
+        "da4720fac672a07a2ae90474c911d7b795c8a97b8787acb6b9c1a440e05a4382"),
+    "blocks-rho-latex": (
+        ["blocks", "rho", *_BLOCK_ROW, "--format", "latex"],
+        "9edac2034905b7c9f73769c2960413bb56a977d7d48e256d4f396691ee57a0c0"),
+    "blocks-lambda-json": (
+        ["blocks", "lambda", *_BLOCK_ROW, "--format", "json"],
+        "6d3174bcc148a643ef3895752eb88b5ad317c2743f3d57cd058acdcb0753b24f"),
+    "blocks-lambda-latex": (
+        ["blocks", "lambda", *_BLOCK_ROW, "--format", "latex"],
+        "f12a40d0fc4c75d9aa2470ff3a708fb891a66ccaee2713835ebe0f6007361632"),
+    "blocks-mu-json": (
+        ["blocks", "mu", *_BLOCK_ROW, "--format", "json"],
+        "215e955573a5e86256491bd34ab97cf0d1d9964a4880f19d503b55a9bf2c8ee7"),
+    "blocks-mu-latex": (
+        ["blocks", "mu", *_BLOCK_ROW, "--format", "latex"],
+        "7e25fe4616e367ed5459a65cc4ffe69bb5f0a42763c8755124b7cc2298d0a05d"),
+    "blocks-nu-json": (
+        ["blocks", "nu", *_BLOCK_ROW, "--format", "json"],
+        "412fda5854fb16fb7141752ad75ca3d3333517219f054699dcabafdf943cd2f8"),
+    "blocks-nu-latex": (
+        ["blocks", "nu", *_BLOCK_ROW, "--format", "latex"],
+        "c70305f5aa45c62605180f1b39c16633bfc1775cba0b0553e8f9d2816ebddfe4"),
+    "blocks-rho-tilde-json": (
+        ["blocks", "rho-tilde", *_BLOCK_ROW, "--format", "json"],
+        "a99d68af68c845db5d61c67ce7e77d2731c00d52dafc10b2c32ae824bf124faf"),
+    "blocks-rho-tilde-latex": (
+        ["blocks", "rho-tilde", *_BLOCK_ROW, "--format", "latex"],
+        "e72dc162c484b49e52ead8eab7398cb2b09ac72b5c89826a6eb401c9338c5225"),
+    "blocks-lambda-tilde-json": (
+        ["blocks", "lambda-tilde", *_BLOCK_ROW, "--format", "json"],
+        "cbb4289b28f32d8fd60510bf573906cb962ce31ec2644ca4cceb865376f7c6a3"),
+    "blocks-lambda-tilde-latex": (
+        ["blocks", "lambda-tilde", *_BLOCK_ROW, "--format", "latex"],
+        "d844cf645a9faac010c8b913b7973dfdb359dfb38349be6ebe8b4a59fad6369b"),
+    "blocks-mu-tilde-json": (
+        ["blocks", "mu-tilde", *_BLOCK_ROW, "--format", "json"],
+        "e15dc8cf0e636d7e77729b02229130624d696557bf6889794ef48dc0cca13689"),
+    "blocks-mu-tilde-latex": (
+        ["blocks", "mu-tilde", *_BLOCK_ROW, "--format", "latex"],
+        "a870448c912f2210395a5d9738b211d49f9c448bb2766ed4ac7b780ccbbea867"),
+    "blocks-nu-tilde-json": (
+        ["blocks", "nu-tilde", *_BLOCK_ROW, "--format", "json"],
+        "1f421e0350dc0f54a1a791538630523e7981eee0e09f2b62e84fadc7df3dd1c4"),
+    "blocks-nu-tilde-latex": (
+        ["blocks", "nu-tilde", *_BLOCK_ROW, "--format", "latex"],
+        "86e81a74c401324ad17abf9973f5140719aec18fda129555c8eee1403a76362f"),
+    "weight-plus-latex": (
+        ["weight", "plus", "--n", "4", "--format", "latex"],
+        "a14dc41b844db4266aa251fc9f46c91ab3b8b3e8db80f291a7126f4ad473aea4"),
+    "weight-plus-latex-summary": (
+        ["weight", "plus", "--n", "4", "--format", "latex-summary"],
+        "0c86d78cc8c513b046ff5982de9cd687b19233d099b0da48bd9d4765f30c982d"),
+    "weight-minus-latex": (
+        ["weight", "minus", "--n", "4", "--format", "latex"],
+        "b075e9a9ac32a0535a3068c133503310b12c155900bf06c2abe8dadb0eea3e3c"),
+    "weight-minus-latex-summary": (
+        ["weight", "minus", "--n", "4", "--format", "latex-summary"],
+        "c71e96801d16177abbec94938ed1b9d8dce7ca3090b91db04d3cd8c5cf1dd867"),
 }
 
 
@@ -261,6 +324,8 @@ def test_canonical_json_rejects_inexact_and_unknown_values(obj):
     ("blocks rho --n 3 --row 1,1 --k 1 --target 3", "repeated index in argument row"),
     ("blocks rho --n 3 --row 1,5 --k 3 --target 3", "index 5 is out of range 1..3"),
     ("blocks rho --n 3 --row 1,2 --k 3 --target 3", "index 3 is not in the argument row"),
+    ("blocks rho --n 3 --row 1,x --k 1 --target 3", "--row must be comma-separated integers"),
+    ("blocks rho --n 3 --row 1,,2 --k 1 --target 3", "--row must be comma-separated integers"),
     ("blocks alpha --n 2 --i 1 --j 1", "kernel arguments must involve two distinct"),
     ("blocks alpha --n 2 --i 1 --j 3", "index 3 is out of range 1..2"),
     ("blocks matrices --n 1", "need at least two variables"),
