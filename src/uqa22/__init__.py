@@ -39,6 +39,7 @@ from .projection import (
     mode_expand,
     star_projection,
     weight_minus_closed,
+    weight_minus_recursive,
     weight_plus_closed,
     weight_plus_recursive,
     weight_structure,

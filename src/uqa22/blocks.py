@@ -245,6 +245,9 @@ def build_matrices(c: QRat, n: int):
     if n < 2:
         raise ValueError("need at least two variables")
     c = QRat.of(c)
+    if c.is_one():
+        raise ValueError("matrix parameter c = 1 (--scale) makes the "
+                         "diagonal 1/(1 - c^-1) singular")
     cinv = c.inv()
     diag = (ONE - cinv).inv()
     m = []

@@ -16,7 +16,7 @@ from .ncalg import mode
 from .projection import (
     PLUS,
     AdmissiblePair,
-    plus_f_row,
+    f_row,
     tau_factored,
     weight_structure,
     _ps_plus_modes,
@@ -105,7 +105,7 @@ def _assignment_case(entry) -> GoldenCase:
         n = entry["n"]
         pair = AdmissiblePair(tuple(entry["pair"]["I"]),
                               tuple(entry["pair"]["J"]), PLUS, n)
-        row, target = plus_f_row(pair, entry["k"])
+        row, target = f_row(pair, entry["k"])
         want_row, want_t = tuple(entry["row"]), entry["target"]
         if target != want_t:
             return False, f"target {target} != {want_t}"

@@ -3,14 +3,17 @@
 This is the heart of the engine: admissible-pair combinatorics, the F/S
 building-block expressions, the closed combinatorial formula for the
 positive and negative projections of f(z_1)...f(z_n), an independent
-recursive evaluator that peels one current at a time, and the expansion
-of the abstract building blocks into current modes.
+recursive evaluator for each side that peels one current at a time, and
+the expansion of the abstract building blocks into current modes.
 
-The closed evaluator and the recursive evaluator share only the scalar
-block constructors and the F/S expressions built from them; their
-agreement is the central correctness check.  The closed formula of
-either side is built from ``weight_structure``, the summand list that
-the LaTeX emitters and the structure goldens also read.
+The pair combinatorics are written once, on the plus side; the minus
+side reads them through the mirror m(x) = n+1-x, which sends a minus pair
+(I, J) to the plus pair (m(J), m(I)).  The closed evaluator and the
+recursive evaluators share only the scalar block constructors and the
+F/S expressions built from them; their agreement is the central
+correctness check.  The closed formula of either side is built from
+``weight_structure``, the summand list that the LaTeX emitters and the
+structure goldens also read.
 """
 
 from __future__ import annotations
@@ -76,31 +79,44 @@ class AdmissiblePair:
         used = set(self.I) | set(self.J)
         return tuple(k for k in range(1, self.n + 1) if k not in used)
 
+    def mirror(self) -> "AdmissiblePair":
+        """The pair of the other side under m(x) = n+1-x: (I, J) becomes
+        (m(J), m(I))."""
+        n = self.n
+        return AdmissiblePair(tuple(n + 1 - x for x in self.J),
+                              tuple(n + 1 - x for x in self.I),
+                              MINUS if self.orientation == PLUS else PLUS, n)
+
+
+def _mirror_row(row_target, n: int):
+    """A (row, target) read backwards under the mirror."""
+    row, target = row_target
+    return tuple(n + 1 - x for x in reversed(row)), n + 1 - target
+
 
 def admissible_pairs(n: int, r: int, orientation: str):
-    """Complete, duplicate-free enumeration of admissible pairs."""
+    """Complete, duplicate-free enumeration of admissible pairs.
+
+    The minus pairs are the mirrors of the plus pairs, sorted by (I, J).
+    """
     if not 0 <= r <= n // 2:
         raise ValueError(f"cardinality {r} out of range for n={n}")
+    if orientation == MINUS:
+        return sorted((p.mirror() for p in admissible_pairs(n, r, PLUS)),
+                      key=lambda p: (p.I, p.J))
+    if orientation != PLUS:
+        raise ValueError(f"unknown orientation {orientation!r}")
     if r == 0:
-        return [AdmissiblePair((), (), orientation, n)]
+        return [AdmissiblePair((), (), PLUS, n)]
     out = []
     indices = range(1, n + 1)
-    if orientation == PLUS:
-        js = sorted((tuple(sorted(c, reverse=True))
-                     for c in itertools.combinations(indices, r)), reverse=True)
-        for J in js:
-            rest = [x for x in indices if x not in J]
-            for I in itertools.permutations(rest, r):
-                if all(i < j for i, j in zip(I, J)):
-                    out.append(AdmissiblePair(I, J, PLUS, n))
-    elif orientation == MINUS:
-        for I in itertools.combinations(indices, r):
-            rest = [x for x in indices if x not in I]
-            for J in itertools.permutations(rest, r):
-                if all(i < j for i, j in zip(I, J)):
-                    out.append(AdmissiblePair(I, J, MINUS, n))
-    else:
-        raise ValueError(f"unknown orientation {orientation!r}")
+    js = sorted((tuple(sorted(c, reverse=True))
+                 for c in itertools.combinations(indices, r)), reverse=True)
+    for J in js:
+        rest = [x for x in indices if x not in J]
+        for I in itertools.permutations(rest, r):
+            if all(i < j for i, j in zip(I, J)):
+                out.append(AdmissiblePair(I, J, PLUS, n))
     return out
 
 
@@ -118,39 +134,39 @@ class WeightExpr:
 
 
 # -- argument-row combinatorics ---------------------------------------------
+#
+# The rows are spelled out once, on the plus side; a minus row is the plus
+# row of the mirrored pair read backwards under the mirror.
 
-def plus_f_row(pair: AdmissiblePair, k: int):
+def f_row(pair: AdmissiblePair, k: int):
     """Row and target of the k-th F factor, with pushed-in paired indices."""
     if k in pair.I or k in pair.J:
         raise ValueError(f"index {k} is paired")
+    if pair.orientation == MINUS:
+        return _mirror_row(f_row(pair.mirror(), pair.n + 1 - k), pair.n)
     p = sum(1 for j in pair.J if j > k) + 1
     prefix = pair.I[: p - 1]
     row = prefix + tuple(x for x in range(1, k) if x not in prefix)
     return row, k
 
 
-def plus_tau_row(pair: AdmissiblePair, k: int):
+def tau_row(pair: AdmissiblePair, k: int):
     """Row and target of the lambda block inside the k-th tau factor."""
+    if pair.orientation == MINUS:
+        return _mirror_row(tau_row(pair.mirror(), k), pair.n)
     prefix = pair.I[: k - 1]
     jk = pair.J[k - 1]
     row = prefix + tuple(x for x in range(1, jk) if x not in prefix)
     return row, jk
 
 
-def minus_f_row(pair: AdmissiblePair, k: int):
-    if k in pair.I or k in pair.J:
-        raise ValueError(f"index {k} is paired")
-    p = sum(1 for i in pair.I if i < k) + 1
-    pushed = pair.J[: p - 1]
-    row = tuple(x for x in range(k + 1, pair.n + 1) if x not in pushed)
-    return row + tuple(reversed(pushed)), k
-
-
-def minus_tau_row(pair: AdmissiblePair, k: int):
-    pushed = pair.J[: k - 1]
-    ik = pair.I[k - 1]
-    row = tuple(x for x in range(ik + 1, pair.n + 1) if x not in pushed)
-    return row + tuple(reversed(pushed)), ik
+def s_rows(pair: AdmissiblePair):
+    """Rows and targets of the S factors, in multiplication order."""
+    if pair.orientation == MINUS:
+        return tuple(_mirror_row(x, pair.n)
+                     for x in reversed(s_rows(pair.mirror())))
+    return tuple((pair.I[: k - 1], pair.I[k - 1])
+                 for k in range(1, pair.r + 1))
 
 
 # -- building-block expressions ----------------------------------------------
@@ -239,34 +255,33 @@ def build_S_tilde(args: ArgList, n: int, depth: int) -> WeightExpr:
 
 
 def tau_factored(pair: AdmissiblePair, k: int) -> FactoredRational:
-    """The k-th scalar pairing coefficient, in exact factored form."""
+    """The k-th scalar pairing coefficient, in exact factored form.
+
+    On the plus side it is -lambda at i_k times alpha(z_m/z_{i_k}) and
+    alpha(q^-1 z_m/z_{i_k}) crossings.  The minus tau is the same
+    construction on the mirrored pair, read under the mirror: the tilde
+    lambda without the sign, each kernel's arguments swapped and each
+    kernel group taken in reverse, so the factors keep their order.
+    """
     n = pair.n
     if not 1 <= k <= pair.r:
         raise ValueError("factor index out of range")
-    if pair.orientation == PLUS:
-        row, target = plus_tau_row(pair, k)
-        ik = pair.I[k - 1]
-        out = build_block("lambda", ArgList(row, target), ik, n).scale(-1)
-        skip_first = set(pair.I[: k - 1])
-        skip_second = set(pair.I[:k])
-        for m in range(1, ik):
-            if m not in skip_first:
-                out = out * build_kernel("alpha", qnum(1), m, ik, n)
-        for m in range(1, pair.J[k - 1]):
-            if m not in skip_second:
-                out = out * build_kernel("alpha", qpow(1, -1), m, ik, n)
+    plus = pair.orientation == PLUS
+    p = pair if plus else pair.mirror()
+    ik, prefix = p.I[k - 1], p.I[: k - 1]
+    groups = ([(qnum(1), m) for m in range(1, ik) if m not in prefix],
+              [(qpow(1, -1), m) for m in range(1, p.J[k - 1])
+               if m not in p.I[:k]])
+    args = ArgList(*tau_row(pair, k))
+    if plus:
+        out = build_block("lambda", args, ik, n).scale(-1)
+        for c, m in itertools.chain(*groups):
+            out = out * build_kernel("alpha", c, m, ik, n)
         return out
-    row, target = minus_tau_row(pair, k)
-    jk = pair.J[k - 1]
-    out = build_tilde_block("lambda", ArgList(row, target), jk, n)
-    skip_first = set(pair.J[: k - 1])
-    skip_second = set(pair.J[:k])
-    for m in range(jk + 1, n + 1):
-        if m not in skip_first:
-            out = out * build_kernel("alpha", qnum(1), jk, m, n)
-    for m in range(pair.I[k - 1] + 1, n + 1):
-        if m not in skip_second:
-            out = out * build_kernel("alpha", qpow(1, -1), jk, m, n)
+    jk = n + 1 - ik
+    out = build_tilde_block("lambda", args, jk, n)
+    for c, m in itertools.chain(*map(reversed, groups)):
+        out = out * build_kernel("alpha", c, jk, n + 1 - m, n)
     return out
 
 
@@ -302,20 +317,12 @@ def weight_structure(n: int, orientation: str):
     """The closed formula as a list of symbolic summands, unexpanded."""
     if n < 1:
         raise ValueError("need at least one current")
-    out = []
-    for r in range(n // 2 + 1):
-        for pair in admissible_pairs(n, r, orientation):
-            tau = tuple(tau_factored(pair, k) for k in range(1, r + 1))
-            if orientation == PLUS:
-                s_rows = tuple((pair.I[: k - 1], pair.I[k - 1])
-                               for k in range(1, r + 1))
-                f_rows = tuple(plus_f_row(pair, k) for k in pair.complement())
-            else:
-                s_rows = tuple((tuple(reversed(pair.J[: k - 1])), pair.J[k - 1])
-                               for k in range(r, 0, -1))
-                f_rows = tuple(minus_f_row(pair, k) for k in pair.complement())
-            out.append(WeightTerm(pair, tau, s_rows, f_rows))
-    return out
+    return [WeightTerm(pair,
+                       tuple(tau_factored(pair, k) for k in range(1, r + 1)),
+                       s_rows(pair),
+                       tuple(f_row(pair, k) for k in pair.complement()))
+            for r in range(n // 2 + 1)
+            for pair in admissible_pairs(n, r, orientation)]
 
 
 def _weight_closed(n: int, depth: int, orientation: str) -> WeightExpr:
@@ -397,88 +404,105 @@ def weight_plus_recursive(n: int, depth: int) -> WeightExpr:
     return WeightExpr(project((), tuple(range(1, n + 1))), n, depth, PLUS)
 
 
+def weight_minus_recursive(n: int, depth: int) -> WeightExpr:
+    """Negative projection evaluated by peeling the first current.
+
+    Each step either splits off an F~ factor for the first variable, on
+    the left, or collapses a pair of currents into a composite one, with
+    the scalar coefficient assembled from a tilde lambda block and
+    alpha(c z_w/z_x) kernels.  Argument rows are carried as explicit
+    index sequences throughout.
+    """
+    if n < 1:
+        raise ValueError("need at least one current")
+
+    memo = {}
+
+    def tau_for(f_rest, s_row, w, t) -> FactoredRational:
+        out = build_tilde_block("lambda", ArgList(f_rest + s_row, t), w, n)
+        seen_w = False
+        for x in f_rest:
+            if x == w:
+                seen_w = True
+                continue
+            if seen_w:
+                out = out * build_kernel("alpha", qnum(1), w, x, n)
+            out = out * build_kernel("alpha", qpow(1, -1), w, x, n)
+        return out
+
+    def project(f_row, s_row) -> NCExpr:
+        key = (f_row, s_row)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if f_row:
+            t, rest = f_row[0], f_row[1:]
+            head = build_F_tilde(ArgList(rest + s_row, t), n, depth).expr
+            out = head * project(rest, s_row)
+            for pos, w in enumerate(rest):
+                tau = tau_for(rest, s_row, w, t)
+                sub = project(rest[:pos] + rest[pos + 1:], (w,) + s_row)
+                out = out + sub.scale(tau.expand(depth))
+        elif s_row:
+            out = build_S_tilde(ArgList(s_row[1:], s_row[0]), n,
+                                depth).expr * project((), s_row[1:])
+        else:
+            out = NCExpr.one(n)
+        memo[key] = out
+        return out
+
+    return WeightExpr(project(tuple(range(1, n + 1)), ()), n, depth, MINUS)
+
+
 # -- mode expansion -----------------------------------------------------------
 
-def _f(idx: int) -> ModeSymbol:
-    return ModeSymbol("f", idx)
-
-
-def _mode_table(entries, i, n, twist):
-    """Assemble sum_m coeff * word * z_i^-m from (m, word, coeff) rows."""
-    acc = {}
-    for m, word, coeff in entries:
-        c = coeff if twist is None else coeff * twist ** (-m)
-        acc.setdefault(word, {}).setdefault(-m, QRat.of(0))
-        acc[word][-m] = acc[word][-m] + c
-    coeffs = {}
-    for word, by_exp in acc.items():
-        terms = {unit_vec(n, i, e): c for e, c in by_exp.items() if not c.is_zero()}
-        coeffs[word] = ExpansionSeries(n, terms)
-    return NCExpr(n, coeffs)
-
-
-# Each symbol's mode series is a prefactor times a table whose
-# coefficients are integer Laurent polynomials in q (the twists -q and
-# -q^-1 are integral too).  mode_expand multiplies a word's coefficient
-# by its symbols' prefactors once, so the table products never reduce.
-_PS_PLUS_PREFACTOR = qnum(-1) / (qpow(1) + qpow(-2))
-_PS_TILDE_MINUS_PREFACTOR = qnum(1) / (qnum(1) + qpow(3))
-
-
-def _pf_plus_table(i: int, n: int, window: int) -> NCExpr:
-    rows = [(m, (_f(m),), qnum(1)) for m in range(1, window + 1)]
-    return _mode_table(rows, i, n, None)
-
-
-def _pf_minus_table(i: int, n: int, window: int) -> NCExpr:
-    rows = [(m, (_f(m),), qnum(1)) for m in range(0, -window - 1, -1)]
-    return _mode_table(rows, i, n, None)
-
-
-def _ps_plus_table(i: int, n: int, window: int, twisted: bool) -> NCExpr:
-    # -1/(q + q^-2) * sum_{m>0} (q f_m f_0 - f_0 f_m + f_1 f_{m-1}
-    #                            - q^-1 f_{m-1} f_1) z^-m
-    # the m = window+1 row is kept so that every word with both mode
-    # indices inside the window is complete
-    rows = []
-    for m in range(1, window + 2):
-        rows.append((m, (_f(m), _f(0)), qpow(1)))
-        rows.append((m, (_f(0), _f(m)), qnum(-1)))
-        rows.append((m, (_f(1), _f(m - 1)), qnum(1)))
-        rows.append((m, (_f(m - 1), _f(1)), qpow(-1, -1)))
-    twist = TWIST_SCALE[PS_PLUS] if twisted else None
-    return _mode_table(rows, i, n, twist)
-
-
-def _ps_tilde_minus_table(i: int, n: int, window: int, twisted: bool) -> NCExpr:
-    # 1/(1 + q^3) * sum_{m<=0} (f_0 f_m - q f_m f_0 + q f_{m-1} f_1
-    #                           - q^2 f_1 f_{m-1}) z^-m
-    rows = []
-    for m in range(0, -window - 1, -1):
-        rows.append((m, (_f(0), _f(m)), qnum(1)))
-        rows.append((m, (_f(m), _f(0)), qpow(1, -1)))
-        rows.append((m, (_f(m - 1), _f(1)), qpow(1)))
-        rows.append((m, (_f(1), _f(m - 1)), qpow(2, -1)))
-    twist = TWIST_SCALE[PS_TILDE_MINUS] if twisted else None
-    return _mode_table(rows, i, n, twist)
-
-
-def _ps_plus_modes(i: int, n: int, window: int, twisted: bool) -> NCExpr:
-    return _ps_plus_table(i, n, window, twisted).scale(_PS_PLUS_PREFACTOR)
+# Each symbol's mode series is a prefactor times a table with integer
+# Laurent coefficients (the twists -q and -q^-1 are integral too), so
+# mode_expand scales a word's coefficient by the prefactors once and the
+# table products never reduce.  Per kind: the prefactor, the modes m for
+# a window, and the (mode indices of the word, coefficient) rows of z^-m.
+_SYMBOL_TABLES = {
+    # sum_{m>0} f_m z^-m and sum_{m<=0} f_m z^-m
+    PF_PLUS: (ONE, lambda w: range(1, w + 1), lambda m: (((m,), qnum(1)),)),
+    PF_MINUS: (ONE, lambda w: range(0, -w - 1, -1),
+               lambda m: (((m,), qnum(1)),)),
+    # -1/(q + q^-2) sum_{m>0} (q f_m f_0 - f_0 f_m + f_1 f_{m-1}
+    # - q^-1 f_{m-1} f_1) z^-m; the m = window+1 rows are kept so that
+    # every word with both mode indices inside the window is complete
+    PS_PLUS: (qnum(-1) / (qpow(1) + qpow(-2)), lambda w: range(1, w + 2),
+              lambda m: (((m, 0), qpow(1)), ((0, m), qnum(-1)),
+                         ((1, m - 1), qnum(1)), ((m - 1, 1), qpow(-1, -1)))),
+    # 1/(1 + q^3) sum_{m<=0} (f_0 f_m - q f_m f_0 + q f_{m-1} f_1
+    # - q^2 f_1 f_{m-1}) z^-m
+    PS_TILDE_MINUS: (qnum(1) / (qnum(1) + qpow(3)),
+                     lambda w: range(0, -w - 1, -1),
+                     lambda m: (((0, m), qnum(1)), ((m, 0), qpow(1, -1)),
+                                ((m - 1, 1), qpow(1)),
+                                ((1, m - 1), qpow(2, -1)))),
+}
 
 
 def _symbol_table(sym, n: int, window: int):
-    """(prefactor, integer table) whose product is the symbol's modes."""
-    if sym.kind == PF_PLUS:
-        return ONE, _pf_plus_table(sym.var, n, window)
-    if sym.kind == PF_MINUS:
-        return ONE, _pf_minus_table(sym.var, n, window)
-    if sym.kind == PS_PLUS:
-        return _PS_PLUS_PREFACTOR, _ps_plus_table(sym.var, n, window, sym.twisted)
-    if sym.kind == PS_TILDE_MINUS:
-        return (_PS_TILDE_MINUS_PREFACTOR,
-                _ps_tilde_minus_table(sym.var, n, window, sym.twisted))
-    raise ValueError(f"unknown symbol kind {sym.kind!r}")
+    """(prefactor, integer table) whose product is the symbol's modes;
+    the table sums coeff * word * z_var^-m over the rows."""
+    if sym.kind not in _SYMBOL_TABLES:
+        raise ValueError(f"unknown symbol kind {sym.kind!r}")
+    prefactor, modes, rows = _SYMBOL_TABLES[sym.kind]
+    twist = TWIST_SCALE.get(sym.kind) if sym.twisted else None
+    acc = {}
+    for m in modes(window):
+        for word, c in rows(m):
+            by_exp = acc.setdefault(tuple(ModeSymbol("f", x) for x in word), {})
+            c = c if twist is None else c * twist ** (-m)
+            by_exp[-m] = by_exp.get(-m, QRat.of(0)) + c
+    return prefactor, NCExpr(n, {
+        word: ExpansionSeries(n, {unit_vec(n, sym.var, e): c
+                                  for e, c in by_exp.items() if not c.is_zero()})
+        for word, by_exp in acc.items()})
+
+
+def _ps_plus_modes(i: int, n: int, window: int, twisted: bool) -> NCExpr:
+    return symbol_modes(abstract(PS_PLUS, i, twisted), n, window)
 
 
 def symbol_modes(sym, n: int, window: int) -> NCExpr:

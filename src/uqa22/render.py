@@ -1,18 +1,17 @@
 """Text and LaTeX emitters.
 
 The LaTeX side mirrors the notation the formulas are usually displayed
-in: blocks come out as ratios of binomials in z_j/z_i, weight functions
-as sums of tau * S-product * F-product terms, and mode expressions as
-sums of f_k words with Laurent-monomial coefficients.
+in: blocks come out as ratios of binomials in z_j/z_i and weight
+functions as sums of tau * S-product * F-product terms.
 """
 
 from __future__ import annotations
 
 from .blocks import ArgList
-from .ncalg import AbstractSymbol, ModeSymbol, NCExpr
+from .ncalg import AbstractSymbol
 from .projection import PLUS, fs_terms, weight_structure
 from .qfield import QPoly, QRat
-from .series import ExpansionSeries, FactoredRational
+from .series import FactoredRational
 
 
 def latex_qpoly(p: QPoly) -> str:
@@ -103,8 +102,6 @@ def latex_ratio(fr: FactoredRational) -> str:
 
 
 def latex_symbol(sym) -> str:
-    if isinstance(sym, ModeSymbol):
-        return f"{sym.family}_{{{sym.index}}}"
     var = f"z_{{{sym.var}}}"
     if isinstance(sym, AbstractSymbol):
         kind = sym.kind
@@ -119,40 +116,6 @@ def latex_symbol(sym) -> str:
             arg = f"-q^{{-1}}{var}" if sym.twisted else var
             return f"P^-\\big(\\tilde s({arg})\\big)"
     raise ValueError(f"cannot render {sym!r}")
-
-
-def latex_series(s: ExpansionSeries) -> str:
-    if not s.terms:
-        return "0"
-    bits = []
-    for a, c in s.sorted_terms():
-        mono = "".join(
-            f"z_{{{i+1}}}" + (f"^{{{e}}}" if e != 1 else "")
-            for i, e in enumerate(a) if e
-        )
-        coeff = latex_qrat(c, wrap_sum=bool(mono))
-        if mono:
-            bits.append(f"{coeff}{mono}" if coeff not in ("1",) else mono)
-        else:
-            bits.append(coeff)
-    out = bits[0]
-    for t in bits[1:]:
-        out += t if t.startswith("-") else f"+{t}"
-    return out
-
-
-def latex_ncexpr(x: NCExpr) -> str:
-    if not x.coeffs:
-        return "0"
-    bits = []
-    for w in x.words():
-        word = "".join(latex_symbol(s) for s in w) or "1"
-        series = latex_series(x.coeffs[w])
-        if series == "1":
-            bits.append(word)
-        else:
-            bits.append(f"\\left({series}\\right){word}")
-    return " + ".join(bits)
 
 
 def _latex_block_sum(factor: str, row, target, n, orientation) -> str:
@@ -205,6 +168,3 @@ def latex_weight_summary(n: int, orientation: str) -> str:
         terms.append("\\,".join(bits) if bits else "1")
     return _latex_lhs(n, orientation) + " + ".join(terms)
 
-
-def text_weight_expr(expr: NCExpr) -> str:
-    return str(expr)

@@ -210,14 +210,6 @@ class ExpansionSeries:
             {a: s * c ** a[i - 1] for a, s in self.terms.items()},
             self.validity, self.lower)
 
-    def truncate(self, validity) -> "ExpansionSeries":
-        if self.lower:
-            if validity < self.validity:
-                raise ValueError("cannot extend a truncated series")
-        elif validity > self.validity:
-            raise ValueError("cannot extend a truncated series")
-        return ExpansionSeries(self.n, self.terms, validity, self.lower)
-
     def invert_vars(self) -> "ExpansionSeries":
         """Replace every z_i by z_i^-1, flipping the exactness direction."""
         validity = self.validity if self.validity == INF else -self.validity

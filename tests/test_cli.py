@@ -187,6 +187,21 @@ ARTIFACT_SHA256 = {
     "weight-minus-latex-summary": (
         ["weight", "minus", "--n", "4", "--format", "latex-summary"],
         "c71e96801d16177abbec94938ed1b9d8dce7ca3090b91db04d3cd8c5cf1dd867"),
+    # recorded before the minus pairs and rows became the mirror of the
+    # plus ones; n=5 and n=6 have several pairs per cardinality, so
+    # these pin the minus pair order and the order inside each row
+    "weight-minus-latex-n5": (
+        ["weight", "minus", "--n", "5", "--format", "latex"],
+        "dd6d59e8d169620f1a7dcc6793a69195e269baa04c53afce00795d7fd504da4e"),
+    "weight-minus-latex-summary-n5": (
+        ["weight", "minus", "--n", "5", "--format", "latex-summary"],
+        "05ad71dfb5047cc6fdec642312cff56ac07dc85dc5872b8824ec23ffd11d6b0b"),
+    "weight-minus-latex-n6": (
+        ["weight", "minus", "--n", "6", "--format", "latex"],
+        "5ffb3df6577458b03f83e751ad0e5c77c6a49030bcb33ee32578dce9ea603a3a"),
+    "weight-minus-latex-summary-n6": (
+        ["weight", "minus", "--n", "6", "--format", "latex-summary"],
+        "1ffbba366bc9cb3d5d310765d6c2dc9a22fd19b4aebe3d46e953e6ca5ce571e9"),
 }
 
 
@@ -329,6 +344,7 @@ def test_canonical_json_rejects_inexact_and_unknown_values(obj):
     ("blocks alpha --n 2 --i 1 --j 1", "kernel arguments must involve two distinct"),
     ("blocks alpha --n 2 --i 1 --j 3", "index 3 is out of range 1..2"),
     ("blocks matrices --n 1", "need at least two variables"),
+    ("blocks matrices --n 3", "matrix parameter c = 1 (--scale) makes"),
     ("verify --suite enumeration --n 11", "brute-force enumeration is capped at n = 10"),
     ("verify --suite modes --window 1", "--window must be at least 2"),
 ])

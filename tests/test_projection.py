@@ -13,13 +13,13 @@ from uqa22.projection import (
     build_F_tilde,
     build_S,
     build_tau_IJ,
+    f_row,
     mode_expand,
-    minus_f_row,
-    minus_tau_row,
-    plus_f_row,
     star_projection,
     tau_factored,
+    tau_row,
     weight_minus_closed,
+    weight_minus_recursive,
     weight_plus_closed,
     weight_plus_recursive,
     weight_structure,
@@ -64,6 +64,14 @@ def test_pairs_match_brute_force(n, orientation):
         assert fast == set(brute_admissible(n, r, orientation))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_minus_pairs_come_in_sorted_order(n):
+    # the LaTeX emitters print the pairs in this order
+    for r in range(n // 2 + 1):
+        got = [(p.I, p.J) for p in admissible_pairs(n, r, MINUS)]
+        assert got == sorted(brute_admissible(n, r, MINUS))
+
+
 def test_pair_validation():
     with pytest.raises(ValueError):
         AdmissiblePair((1,), (1,), PLUS, 3)
@@ -98,10 +106,10 @@ def test_S_coefficients_carry_twisted_symbol():
 
 def test_F_IJ_row_selection():
     pair = AdmissiblePair((3,), (4,), PLUS, 4)
-    assert plus_f_row(pair, 2) == ((3, 1), 2)
-    assert plus_f_row(pair, 1) == ((3,), 1)
+    assert f_row(pair, 2) == ((3, 1), 2)
+    assert f_row(pair, 1) == ((3,), 1)
     with pytest.raises(ValueError, match="paired"):
-        plus_f_row(pair, 4)
+        f_row(pair, 4)
 
 
 def test_tau_IJ_requires_valid_index():
@@ -167,9 +175,16 @@ def test_recursion_n1_and_n2_hand_unrolled():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_closed_equals_recursive(n):
     depth = 4
-    closed = weight_plus_closed(n, depth)
-    recursive = weight_plus_recursive(n, depth)
-    assert closed.equal_up_to(recursive, depth)
+    for closed, recursive in ((weight_plus_closed, weight_plus_recursive),
+                              (weight_minus_closed, weight_minus_recursive)):
+        assert closed(n, depth).equal_up_to(recursive(n, depth), depth)
+
+
+def test_minus_recursion_n1():
+    w = weight_minus_recursive(1, 3)
+    assert w.orientation == MINUS
+    assert set(w.expr.coeffs) == {(abstract("f-", 1),)}
+    assert w.equal_up_to(weight_minus_closed(1, 3), 3)
 
 
 # -- negative projection ------------------------------------------------------
@@ -202,10 +217,10 @@ def test_minus_tau_row_skips_and_appends():
     # a paired index already used is skipped from the natural range and
     # re-appended at the end, so it appears exactly once
     pair = AdmissiblePair((1, 3), (2, 5), MINUS, 5)
-    row, target = minus_tau_row(pair, 2)
+    row, target = tau_row(pair, 2)
     assert target == 3
     assert row == (4, 5, 2)
-    frow, ftarget = minus_f_row(pair, 4)
+    frow, ftarget = f_row(pair, 4)
     assert (frow, ftarget) == ((5, 2), 4)
 
 
