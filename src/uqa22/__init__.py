@@ -13,7 +13,6 @@ from .ncalg import (
     abstract,
     mode,
     principal_degree,
-    q_commutator,
 )
 from .blocks import (
     ArgList,
@@ -35,7 +34,6 @@ from .projection import (
     build_S,
     build_F_tilde,
     build_S_tilde,
-    build_tau_IJ,
     mode_expand,
     star_projection,
     weight_minus_closed,

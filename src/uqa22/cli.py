@@ -264,6 +264,8 @@ def _cmd_blocks(args) -> int:
         _check_indices(args.n, args.i, args.j)
         fr = build_kernel(kind, SCALES[args.scale], args.i, args.j, args.n)
     elif kind == "matrices":
+        if args.format == "latex":
+            raise SystemExit("uqa22: matrices have no LaTeX form; use --format json")
         m, v, w = build_matrices(SCALES[args.scale], args.n)
         out = {
             "schema": f"uqa22/matrices/v{SCHEMA_VERSION}",
@@ -371,11 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args):
-    for name, low in (("n", 1), ("depth", 0), ("window", 1),
-                      ("order", 0), ("k", 1), ("target", 1)):
+    for name, low in (("n", 1), ("depth", 0), ("window", 1), ("order", 0),
+                      ("cartan_order", 0), ("k", 1), ("target", 1)):
         val = getattr(args, name, None)
         if val is not None and val < low:
-            raise SystemExit(f"uqa22: --{name} must be at least {low}")
+            flag = name.replace("_", "-")
+            raise SystemExit(f"uqa22: --{flag} must be at least {low}")
 
 
 def main(argv=None) -> int:

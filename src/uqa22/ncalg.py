@@ -5,6 +5,12 @@ modes (families e, f and the imaginary-root family a) or the abstract
 projection symbols that the weight-function formulas are written in.
 No relations are imposed; two expressions are compared coefficient by
 coefficient at a stated truncation bound.
+
+Every coefficient is an ExpansionSeries in the one nested domain
+|z_1| >> ... >> |z_n|, exact at ratio degrees up to its validity.  The
+involution ``iota`` maps words only; the dual projections are read at
+inverted arguments rather than rewritten in the variables z_i^-1 (see
+``projection.star_projection``).
 """
 
 from __future__ import annotations
@@ -93,17 +99,14 @@ class NCExpr:
     d <= validity.  A word may individually be exact further out.
     """
 
-    __slots__ = ("n", "coeffs", "validity", "lower")
+    __slots__ = ("n", "coeffs", "validity")
 
-    def __init__(self, n: int, coeffs=None, validity=None, lower: bool = False):
+    def __init__(self, n: int, coeffs=None, validity=None):
         self.n = n
-        self.lower = lower
         kept = {}
         vals = []
         alphabet = ""
         for w, s in (coeffs or {}).items():
-            if s.lower != lower:
-                raise ValueError("coefficient series have mixed directions")
             a = word_alphabet(w)
             if a:
                 if alphabet and a != alphabet:
@@ -112,12 +115,8 @@ class NCExpr:
             vals.append(s.validity)
             if s.terms:
                 kept[w] = s
-        if lower:
-            v = max(vals) if vals else -INF
-            self.validity = v if validity is None else max(v, validity)
-        else:
-            v = min(vals) if vals else INF
-            self.validity = v if validity is None else min(v, validity)
+        v = min(vals) if vals else INF
+        self.validity = v if validity is None else min(v, validity)
         self.coeffs = kept
 
     # -- constructors ---------------------------------------------------
@@ -149,7 +148,7 @@ class NCExpr:
     def coefficient(self, word) -> ExpansionSeries:
         s = self.coeffs.get(tuple(word))
         if s is None:
-            return ExpansionSeries(self.n, {}, self.validity, self.lower)
+            return ExpansionSeries(self.n, {}, self.validity)
         return s
 
     def _min_term_degree(self):
@@ -161,8 +160,6 @@ class NCExpr:
     def _check_mate(self, other: "NCExpr"):
         if self.n != other.n:
             raise ValueError("mismatched variable count")
-        if self.lower != other.lower:
-            raise ValueError("cannot mix expansion directions")
         a, b = self.alphabet(), other.alphabet()
         if a and b and a != b:
             raise ValueError("cannot mix mode and abstract words")
@@ -175,15 +172,11 @@ class NCExpr:
         for w, s in other.coeffs.items():
             t = coeffs.get(w)
             coeffs[w] = s if t is None else t + s
-        if self.lower:
-            validity = max(self.validity, other.validity)
-        else:
-            validity = min(self.validity, other.validity)
-        return NCExpr(self.n, coeffs, validity, self.lower)
+        return NCExpr(self.n, coeffs, min(self.validity, other.validity))
 
     def __neg__(self) -> "NCExpr":
         return NCExpr(self.n, {w: -s for w, s in self.coeffs.items()},
-                      self.validity, self.lower)
+                      self.validity)
 
     def __sub__(self, other: "NCExpr") -> "NCExpr":
         return self + (-other)
@@ -197,8 +190,6 @@ class NCExpr:
         sound unconditionally.
         """
         self._check_mate(other)
-        if self.lower:
-            raise ValueError("product of inverted-domain expressions is not supported")
         validity = min(self.validity + other._min_term_degree(),
                        other.validity + self._min_term_degree())
         coeffs = {}
@@ -216,51 +207,32 @@ class NCExpr:
             return self * NCExpr(self.n, {(): s})
         c = QRat.of(s)
         return NCExpr(self.n, {w: t.scale(c) for w, t in self.coeffs.items()},
-                      self.validity, self.lower)
+                      self.validity)
 
     # -- the involution ---------------------------------------------------
 
-    def iota(self, invert_vars: bool = False) -> "NCExpr":
+    def iota(self) -> "NCExpr":
         """Apply e_n -> f_{-n}, f_n -> e_{-n}, a_n -> a_{-n} to every word.
 
         The map preserves word order (it is an algebra homomorphism, the
         reading under which the quadratic exchange relations of the two
-        current families transport into each other).  With invert_vars
-        every coefficient is rewritten in the inverted variables z_i^-1,
-        flipping the exactness direction of the series.
+        current families transport into each other).  Coefficient series
+        and validity are kept as they are.
         """
         if self.alphabet() == "abstract":
             raise ValueError("the involution acts on mode words")
-        coeffs = {}
-        for w, s in self.coeffs.items():
-            coeffs[iota_word(w)] = s.invert_vars() if invert_vars else s
-        if not invert_vars:
-            return NCExpr(self.n, coeffs, self.validity, self.lower)
-        if self.validity in (INF, -INF):
-            return NCExpr(self.n, coeffs, INF, False)
-        if not self.lower:
-            # an exact coefficient is direction-agnostic; re-tag it so
-            # the whole expression shares the flipped lower claim
-            coeffs = {
-                w: ExpansionSeries(s.n, s.terms, -INF, True)
-                if s.validity == INF and not s.lower else s
-                for w, s in coeffs.items()
-            }
-        return NCExpr(self.n, coeffs, -self.validity, not self.lower)
+        return NCExpr(self.n, {iota_word(w): s for w, s in self.coeffs.items()},
+                      self.validity)
 
     # -- comparison ------------------------------------------------------
 
     def equal_up_to(self, other: "NCExpr", bound) -> bool:
         """True iff every word's coefficients agree at all d <= bound.
 
-        The bound must not exceed either header validity (for inverted
-        expressions: must not sit below it).
+        The bound must not exceed either header validity.
         """
         self._check_mate(other)
-        if self.lower:
-            if bound < max(self.validity, other.validity):
-                raise ValueError("insufficient truncation")
-        elif bound > min(self.validity, other.validity):
+        if bound > min(self.validity, other.validity):
             raise ValueError("insufficient truncation")
         for w in self.coeffs.keys() | other.coeffs.keys():
             if not self.coefficient(w).equal_up_to(other.coefficient(w), bound):
@@ -278,31 +250,25 @@ class NCExpr:
 
     def to_json(self):
         v = self.validity
-        out = {
+        return {
             "n": self.n,
             "alphabet": self.alphabet() or "mode",
-            "validity": None if v in (INF, -INF) else v,
+            "validity": None if v == INF else v,
             "terms": [
                 {"word": [_symbol_json(s) for s in w],
                  "coeff": self.coeffs[w].to_json()}
                 for w in self.words()
             ],
         }
-        if self.lower:
-            out["lower"] = True
-        return out
 
     @classmethod
     def from_json(cls, data) -> "NCExpr":
-        lower = bool(data.get("lower", False))
         coeffs = {}
         for item in data["terms"]:
             w = tuple(_symbol_from_json(s) for s in item["word"])
             coeffs[w] = ExpansionSeries.from_json(item["coeff"])
         v = data["validity"]
-        if v is None:
-            v = -INF if lower else INF
-        return cls(data["n"], coeffs, v, lower)
+        return cls(data["n"], coeffs, INF if v is None else v)
 
 
 def _symbol_str(s) -> str:
@@ -322,8 +288,3 @@ def _symbol_from_json(data):
     if len(data) == 2:
         return mode(data[0], data[1])
     return abstract(data[0], data[1], bool(data[2]))
-
-
-def q_commutator(a: NCExpr, b: NCExpr, sign: int = 1) -> NCExpr:
-    """[a, b]_{q^sign} = a*b - q^sign * b*a."""
-    return a * b - (b * a).scale(qpow(sign))

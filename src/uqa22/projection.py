@@ -285,10 +285,6 @@ def tau_factored(pair: AdmissiblePair, k: int) -> FactoredRational:
     return out
 
 
-def build_tau_IJ(pair: AdmissiblePair, k: int, depth: int) -> ExpansionSeries:
-    return tau_factored(pair, k).expand(depth)
-
-
 # -- the closed combinatorial formula -----------------------------------------
 
 @dataclass(frozen=True)
@@ -547,8 +543,14 @@ def star_projection(n: int, depth: int, window: int, sign: str) -> NCExpr:
 
     sign "-" gives the dual-negative projection (transported from the
     positive weight function), sign "+" the dual-positive one (from the
-    negative weight function).  Coefficients come out in the inverted
-    variables, so the returned expression carries lower-bounded validity.
+    negative weight function).  The result is the dual projection at
+    inverted arguments,
+
+        P*(e(1/z_1)...e(1/z_n)) = iota(P(f(z_1)...f(z_n))),
+
+    so its coefficients stay in the weight function's domain
+    |z_1| >> ... >> |z_n| with that function's validity: the coefficient
+    of z^a on a word is the dual projection's coefficient of z^-a.
     """
     if sign == "-":
         base = weight_plus_closed(n, depth)
@@ -556,4 +558,4 @@ def star_projection(n: int, depth: int, window: int, sign: str) -> NCExpr:
         base = weight_minus_closed(n, depth)
     else:
         raise ValueError(f"unknown sign {sign!r}")
-    return mode_expand(base, window).iota(invert_vars=True)
+    return mode_expand(base, window).iota()

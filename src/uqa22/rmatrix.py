@@ -170,6 +170,8 @@ def cartan_tensor(cutoff: int, order: int = 1) -> TensorExpr:
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     coeffs = {k: cartan_coeff(k).value for k in range(1, cutoff + 1)}
     terms = {((), ()): qnum(1)}
     for o in range(1, order + 1):

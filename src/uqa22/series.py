@@ -7,10 +7,10 @@ monomial z_j/z_i with j > i has positive degree j-i, so all expansions
 have well-ordered supports.
 
 An ExpansionSeries stores exact coefficients for every exponent vector
-with d(a) <= validity and claims nothing above the bound.  Series
-produced by inverting all variables carry the opposite claim (exact for
-d(a) >= validity) and are marked with ``lower=True``; they only support
-the few operations the duality transport needs.
+with d(a) <= validity and claims nothing above the bound; an infinite
+validity marks an exact series.  This is the only truncation claim: every
+series the engine builds, the dual projections included, lives in this
+one domain.
 
 A FactoredRational is the exact, pre-expansion form of every building
 block: monomial * prod (u*z_i + v*z_j)^(+-m).  Expansion, substitution
@@ -52,34 +52,23 @@ def unit_vec(n: int, i: int, value: int = 1):
 class ExpansionSeries:
     """Sparse truncated Laurent expansion with an explicit validity bound."""
 
-    __slots__ = ("n", "terms", "validity", "lower")
+    __slots__ = ("n", "terms", "validity")
 
-    def __init__(self, n: int, terms=None, validity=INF, lower: bool = False):
+    def __init__(self, n: int, terms=None, validity=INF):
         self.n = n
         self.validity = validity
-        self.lower = lower
-        out = {}
-        for a, c in (terms or {}).items():
-            if c.is_zero():
-                continue
-            d = ratio_degree(a)
-            if (not lower and d <= validity) or (lower and d >= validity):
-                out[a] = c
-        self.terms = out
+        self.terms = {a: c for a, c in (terms or {}).items()
+                      if not c.is_zero() and ratio_degree(a) <= validity}
 
     @classmethod
-    def _of(cls, n: int, terms: dict, validity, lower: bool) -> "ExpansionSeries":
+    def _of(cls, n: int, terms: dict, validity) -> "ExpansionSeries":
         """Adopt ``terms`` as they are: the caller guarantees that every
         coefficient is nonzero and every exponent inside the bound."""
         out = cls.__new__(cls)
-        out.n, out.terms, out.validity, out.lower = n, terms, validity, lower
+        out.n, out.terms, out.validity = n, terms, validity
         return out
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int, validity=INF) -> "ExpansionSeries":
-        return cls(n, {}, validity)
 
     @classmethod
     def one(cls, n: int) -> "ExpansionSeries":
@@ -108,17 +97,12 @@ class ExpansionSeries:
     def _check_mate(self, other: "ExpansionSeries"):
         if self.n != other.n:
             raise ValueError("mismatched variable count")
-        if self.lower != other.lower:
-            raise ValueError("cannot mix expansion directions")
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "ExpansionSeries") -> "ExpansionSeries":
         self._check_mate(other)
-        if self.lower:
-            validity = max(self.validity, other.validity)
-        else:
-            validity = min(self.validity, other.validity)
+        validity = min(self.validity, other.validity)
         # only coinciding terms can cancel
         terms = self._clipped(validity)
         for a, c in other._clipped(validity).items():
@@ -129,20 +113,17 @@ class ExpansionSeries:
                 del terms[a]
             else:
                 terms[a] = s
-        return ExpansionSeries._of(self.n, terms, validity, self.lower)
+        return ExpansionSeries._of(self.n, terms, validity)
 
     def _clipped(self, validity) -> dict:
         """A fresh dict of the stored terms inside the bound ``validity``."""
         if validity == self.validity:
             return dict(self.terms)
-        if self.lower:
-            return {a: c for a, c in self.terms.items() if ratio_degree(a) >= validity}
         return {a: c for a, c in self.terms.items() if ratio_degree(a) <= validity}
 
     def __neg__(self) -> "ExpansionSeries":
         return ExpansionSeries(
-            self.n, {a: -c for a, c in self.terms.items()},
-            self.validity, self.lower)
+            self.n, {a: -c for a, c in self.terms.items()}, self.validity)
 
     def __sub__(self, other: "ExpansionSeries") -> "ExpansionSeries":
         return self + (-other)
@@ -150,10 +131,9 @@ class ExpansionSeries:
     def scale(self, c) -> "ExpansionSeries":
         c = QRat.of(c)
         if c.is_zero():
-            return ExpansionSeries(self.n, {}, self.validity, self.lower)
+            return ExpansionSeries(self.n, {}, self.validity)
         return ExpansionSeries(
-            self.n, {a: s * c for a, s in self.terms.items()},
-            self.validity, self.lower)
+            self.n, {a: s * c for a, s in self.terms.items()}, self.validity)
 
     def _shift_scale(self, a, c) -> "ExpansionSeries":
         """Product with the exact single term c*z^a.
@@ -168,12 +148,10 @@ class ExpansionSeries:
         else:
             terms = {tuple(map(operator.add, b, a)): s * c
                      for b, s in self.terms.items()}
-        return ExpansionSeries._of(self.n, terms, self.validity + ratio_degree(a), False)
+        return ExpansionSeries._of(self.n, terms, self.validity + ratio_degree(a))
 
     def mul(self, other: "ExpansionSeries") -> "ExpansionSeries":
         self._check_mate(other)
-        if self.lower:
-            raise ValueError("product of inverted-domain series is not supported")
         if other.validity == INF and len(other.terms) == 1:
             (a, c), = other.terms.items()
             return self._shift_scale(a, c)
@@ -208,31 +186,17 @@ class ExpansionSeries:
         return ExpansionSeries(
             self.n,
             {a: s * c ** a[i - 1] for a, s in self.terms.items()},
-            self.validity, self.lower)
-
-    def invert_vars(self) -> "ExpansionSeries":
-        """Replace every z_i by z_i^-1, flipping the exactness direction."""
-        validity = self.validity if self.validity == INF else -self.validity
-        lower = (not self.lower) if self.validity != INF else False
-        return ExpansionSeries(
-            self.n, {tuple(-e for e in a): c for a, c in self.terms.items()},
-            validity, lower)
+            self.validity)
 
     # -- comparison ------------------------------------------------------
 
     def equal_up_to(self, other: "ExpansionSeries", bound) -> bool:
         """Exact agreement of all coefficients with d(a) <= bound."""
         self._check_mate(other)
-        if self.lower:
-            if bound < max(self.validity, other.validity):
-                raise ValueError("insufficient truncation")
-            keep = lambda d: d >= bound
-        else:
-            if bound > min(self.validity, other.validity):
-                raise ValueError("insufficient truncation")
-            keep = lambda d: d <= bound
+        if bound > min(self.validity, other.validity):
+            raise ValueError("insufficient truncation")
         for a in self.terms.keys() | other.terms.keys():
-            if keep(ratio_degree(a)) and self.coefficient(a) != other.coefficient(a):
+            if ratio_degree(a) <= bound and self.coefficient(a) != other.coefficient(a):
                 return False
         return True
 
@@ -240,7 +204,6 @@ class ExpansionSeries:
         return (
             isinstance(other, ExpansionSeries)
             and self.n == other.n
-            and self.lower == other.lower
             and self.validity == other.validity
             and self.terms == other.terms
         )
@@ -261,25 +224,19 @@ class ExpansionSeries:
 
     def to_json(self):
         v = self.validity
-        out = {
+        return {
             "n": self.n,
-            "validity": None if v in (INF, -INF) else v,
+            "validity": None if v == INF else v,
             "terms": [[list(a), c.to_json()] for a, c in self.sorted_terms()],
         }
-        if self.lower:
-            out["lower"] = True
-        return out
 
     @classmethod
     def from_json(cls, data) -> "ExpansionSeries":
         v = data["validity"]
-        lower = bool(data.get("lower", False))
-        if v is None:
-            v = -INF if lower else INF
         return cls(
             data["n"],
             {tuple(a): QRat.from_json(c) for a, c in data["terms"]},
-            v, lower,
+            INF if v is None else v,
         )
 
 

@@ -345,6 +345,8 @@ def test_canonical_json_rejects_inexact_and_unknown_values(obj):
     ("blocks alpha --n 2 --i 1 --j 3", "index 3 is out of range 1..2"),
     ("blocks matrices --n 1", "need at least two variables"),
     ("blocks matrices --n 3", "matrix parameter c = 1 (--scale) makes"),
+    ("blocks matrices --n 2 --scale q^2 --format latex", "matrices have no LaTeX form"),
+    ("rmatrix --cartan-order -1", "--cartan-order must be at least 0"),
     ("verify --suite enumeration --n 11", "brute-force enumeration is capped at n = 10"),
     ("verify --suite modes --window 1", "--window must be at least 2"),
 ])

@@ -7,7 +7,6 @@ from uqa22.ncalg import (
     abstract,
     mode,
     principal_degree,
-    q_commutator,
 )
 from uqa22.qfield import qnum, qpow
 from uqa22.series import INF, ExpansionSeries
@@ -21,15 +20,6 @@ def test_concatenation_product():
     x = word_expr(1, mode("f", 1)) * word_expr(1, mode("f", 0))
     assert set(x.coeffs) == {(mode("f", 1), mode("f", 0))}
     assert x.coeffs[(mode("f", 1), mode("f", 0))].coefficient((0,)) == qnum(1)
-
-
-def test_q_commutator_has_two_words():
-    a, b = word_expr(1, mode("f", 1)), word_expr(1, mode("f", 0))
-    c = q_commutator(a, b, -1)
-    assert set(c.coeffs) == {(mode("f", 1), mode("f", 0)),
-                             (mode("f", 0), mode("f", 1))}
-    assert c.coeffs[(mode("f", 0), mode("f", 1))].coefficient((0,)) \
-        == -qpow(-1)
 
 
 def test_mul_by_zero_is_zero():
@@ -64,26 +54,32 @@ def test_iota_is_an_involution():
 
 
 def test_iota_with_variable_inversion():
+    # the involution maps words only: the series, read at inverted
+    # arguments, keeps its exponents
     s = ExpansionSeries.monomial(1, (-3,))
     x = NCExpr(1, {(mode("f", 2),): s})
-    y = x.iota(invert_vars=True)
-    assert y.coefficient((mode("e", -2),)).coefficient((3,)) == qnum(1)
-    back = y.iota(invert_vars=True)
-    assert back.coefficient((mode("f", 2),)).coefficient((-3,)) == qnum(1)
+    y = x.iota()
+    assert y.coefficient((mode("e", -2),)) == s
+    assert y.validity == INF
+    back = y.iota()
+    assert back.coeffs == x.coeffs and back.validity == x.validity
 
 
 def test_iota_inversion_with_mixed_exactness():
-    # an exact coefficient next to a truncated one must survive the
-    # direction flip, re-tagged to the common inverted claim
+    # an exact coefficient next to a truncated one keeps its own
+    # infinite validity under the common header claim
     exact = ExpansionSeries.monomial(1, (-2,))
     cut = ExpansionSeries(1, {(-1,): qnum(1)}, 4)
     x = NCExpr(1, {(mode("f", 2),): exact, (mode("f", 1),): cut})
-    y = x.iota(invert_vars=True)
-    assert y.lower and y.validity == -4
-    assert y.coefficient((mode("e", -2),)).coefficient((2,)) == qnum(1)
-    assert y.coefficient((mode("e", -1),)).coefficient((1,)) == qnum(1)
-    back = y.iota(invert_vars=True)
-    assert back.coefficient((mode("f", 2),)).coefficient((-2,)) == qnum(1)
+    y = x.iota()
+    assert y.validity == 4
+    got_exact = y.coefficient((mode("e", -2),))
+    assert got_exact == exact and got_exact.validity == INF
+    got_cut = y.coefficient((mode("e", -1),))
+    assert got_cut == cut and got_cut.validity == 4
+    assert got_cut.coefficient((-1,)) == qnum(1)
+    back = y.iota()
+    assert back.coeffs == x.coeffs and back.validity == x.validity
 
 
 def test_iota_rejects_abstract_words():

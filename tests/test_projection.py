@@ -3,7 +3,7 @@
 import pytest
 
 from uqa22.blocks import ArgList, build_block, build_kernel
-from uqa22.ncalg import NCExpr, abstract, mode
+from uqa22.ncalg import NCExpr, abstract, iota_word, mode
 from uqa22.projection import (
     MINUS,
     PLUS,
@@ -12,7 +12,6 @@ from uqa22.projection import (
     build_F,
     build_F_tilde,
     build_S,
-    build_tau_IJ,
     f_row,
     mode_expand,
     star_projection,
@@ -25,6 +24,7 @@ from uqa22.projection import (
     weight_structure,
 )
 from uqa22.qfield import qnum, qpow
+from uqa22.series import INF
 from uqa22.verify import brute_admissible
 
 q = qpow(1)
@@ -115,12 +115,12 @@ def test_F_IJ_row_selection():
 def test_tau_IJ_requires_valid_index():
     pair = AdmissiblePair((1,), (2,), PLUS, 2)
     with pytest.raises(ValueError):
-        build_tau_IJ(pair, 2, 4)
+        tau_factored(pair, 2).expand(4)
 
 
 def test_tau_n2_display():
     pair = AdmissiblePair((1,), (2,), PLUS, 2)
-    t = build_tau_IJ(pair, 1, 6)
+    t = tau_factored(pair, 1).expand(6)
     lam = build_block("lambda", ArgList((1,), 2), 1, 2)
     assert t.equal_up_to(lam.scale(-1).expand(6), 6)
 
@@ -157,7 +157,7 @@ def test_weight_plus_n2_value():
     w = weight_plus_closed(2, 5)
     f2 = build_F(ArgList((1,), 2), 2, 5)
     pf1 = NCExpr.from_word(2, (abstract("f+", 1),))
-    tau = build_tau_IJ(AdmissiblePair((1,), (2,), PLUS, 2), 1, 5)
+    tau = tau_factored(AdmissiblePair((1,), (2,), PLUS, 2), 1).expand(5)
     ps1 = NCExpr.from_word(2, (abstract("s+", 1),))
     want = pf1 * f2.expr + ps1.scale(tau)
     assert w.expr.equal_up_to(want, 5)
@@ -284,17 +284,30 @@ def test_star_projection_single_current():
     sp = star_projection(1, 4, 5, "-")
     assert set(sp.coeffs) == {(mode("e", -m),) for m in range(1, 6)}
     for m in range(1, 6):
-        assert sp.coefficient((mode("e", -m),)).coefficient((m,)) == qnum(1)
+        assert sp.coefficient((mode("e", -m),)).coefficient((-m,)) == qnum(1)
     sp2 = star_projection(1, 4, 5, "+")
     assert set(sp2.coeffs) == {(mode("e", m),) for m in range(0, 6)}
 
 
 def test_double_involution_with_inversion_restores():
     me = mode_expand(weight_plus_closed(2, 4), 3)
-    back = me.iota(invert_vars=True).iota(invert_vars=True)
+    back = me.iota().iota()
     assert set(back.coeffs) == set(me.coeffs)
     for w, s in me.coeffs.items():
         assert back.coeffs[w].terms == s.terms
+    assert back.validity == me.validity
+
+
+def test_star_projection_n2_is_the_involution_of_the_mode_table():
+    me = mode_expand(weight_plus_closed(2, 4), 3)
+    sp = star_projection(2, 4, 3, "-")
+    assert sp.validity == me.validity and sp.validity != INF
+    back = sp.iota()
+    assert set(back.coeffs) == set(me.coeffs)
+    for w, s in me.coeffs.items():
+        assert back.coeffs[w] == s
+        # the series itself is the weight function's, not its inversion
+        assert sp.coeffs[iota_word(w)] == s
 
 
 # -- prefactor-first expansion against the full symbol tables -----------------

@@ -131,6 +131,11 @@ def test_cartan_tensor_first_order():
             == cartan_coeff(k).value
 
 
+def test_cartan_tensor_rejects_negative_order():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        cartan_tensor(3, -1)
+
+
 def test_flip_is_an_involution():
     t = r_factor("+", 1, 2, 3)
     assert t.flip().flip().terms == t.terms
