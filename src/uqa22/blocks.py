@@ -249,18 +249,15 @@ def build_matrices(c: QRat, n: int):
         raise ValueError("matrix parameter c = 1 (--scale) makes the "
                          "diagonal 1/(1 - c^-1) singular")
     cinv = c.inv()
-    diag = (ONE - cinv).inv()
     m = []
     for i in range(1, n):
         row = []
         for j in range(1, n):
-            if i == j:
-                row.append(FactoredRational.from_scalar(n, diag))
-            else:
-                mono = [0] * n
-                mono[j - 1] = 1
-                row.append(FactoredRational(
-                    n, ONE, mono, [(MINUS_ONE * cinv, i, ONE, j, -1)]))
+            # z_j/(z_j - c^-1 z_i); at i == j this folds to 1/(1 - c^-1)
+            mono = [0] * n
+            mono[j - 1] = 1
+            row.append(FactoredRational(
+                n, ONE, mono, [(MINUS_ONE * cinv, i, ONE, j, -1)]))
         m.append(row)
     v = []
     for i in range(1, n):

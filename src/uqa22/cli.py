@@ -157,6 +157,9 @@ def _emit(args, text: str):
 
 def _cmd_weight(args) -> int:
     sign = PLUS if args.sign == "plus" else MINUS
+    if args.modes and args.format.startswith("latex"):
+        raise SystemExit(f"uqa22: --format {args.format} has no mode expansion; "
+                         "drop --modes or use --format json or text")
     if args.format == "latex":
         _emit(args, render.latex_weight(args.n, sign))
         return 0
@@ -386,9 +389,10 @@ def main(argv=None) -> int:
     _validate(args)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # an input the parser cannot judge alone (a repeated index, a
-        # size past a suite's cap); arithmetic faults still propagate
+        # size past a suite's cap, an unwritable output path);
+        # arithmetic faults still propagate
         raise SystemExit(f"uqa22: {exc}") from None
 
 

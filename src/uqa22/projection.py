@@ -326,7 +326,7 @@ def _weight_closed(n: int, depth: int, orientation: str) -> WeightExpr:
     their tau coefficients times their F and S factors."""
     total = NCExpr.zero(n)
     for term in weight_structure(n, orientation):
-        tau = FactoredRational.one(n)
+        tau = FactoredRational(n)
         for fr in term.tau:
             tau = tau * fr
         expr = NCExpr.one(n)

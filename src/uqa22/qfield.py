@@ -543,6 +543,9 @@ class QRat:
         )
 
     def __hash__(self):
+        # a constant equals its int or Fraction, so it hashes like one
+        if self.den.is_one() and self.num.off == 0 and len(self.num.coeffs) <= 1:
+            return hash(self.num.coeffs[0] if self.num.coeffs else 0)
         return hash((self.num, self.den))
 
     def __str__(self) -> str:

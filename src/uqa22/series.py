@@ -13,8 +13,8 @@ series the engine builds, the dual projections included, lives in this
 one domain.
 
 A FactoredRational is the exact, pre-expansion form of every building
-block: monomial * prod (u*z_i + v*z_j)^(+-m).  Expansion, substitution
-and exact evaluation all happen on this form.
+block: monomial * prod (u*z_i + v*z_j)^(+-m).  Expansion and exact
+evaluation both happen on this form.
 """
 
 from __future__ import annotations
@@ -265,23 +265,16 @@ class FactoredRational:
                 continue
             if scalar.is_zero():
                 break
-            if i == j:
-                u = u + v
-                v = _ZERO
             if not (1 <= i <= n) or not (1 <= j <= n):
                 raise ValueError("factor variable index out of range")
-            if u.is_zero() and v.is_zero():
-                if m > 0:
-                    scalar = _ZERO
-                    break
-                raise ZeroDivisionError("non-expandable factor: zero base")
-            if u.is_zero():
-                scalar = scalar * v ** m
-                mono[j - 1] += m
-                continue
-            if v.is_zero():
-                scalar = scalar * u ** m
-                mono[i - 1] += m
+            if i == j or u.is_zero() or v.is_zero():
+                # the binomial is (u+v) times z_i, or z_j when u is zero;
+                # a zero base makes the value zero, or a pole when m < 0
+                c = u + v
+                if c.is_zero() and m < 0:
+                    raise ZeroDivisionError("non-expandable factor: zero base")
+                scalar = scalar * c ** m
+                mono[(j if u.is_zero() else i) - 1] += m
                 continue
             if i > j:
                 u, i, v, j = v, j, u, i
@@ -306,14 +299,6 @@ class FactoredRational:
             self.monomial = tuple(mono)
             self.factors = tuple(kept)
 
-    @classmethod
-    def one(cls, n: int) -> "FactoredRational":
-        return cls(n)
-
-    @classmethod
-    def from_scalar(cls, n: int, c) -> "FactoredRational":
-        return cls(n, scalar=c)
-
     def is_zero(self) -> bool:
         return self.scalar.is_zero()
 
@@ -335,29 +320,9 @@ class FactoredRational:
             tuple(-e for e in self.monomial),
             tuple((u, i, v, j, -m) for u, i, v, j, m in self.factors))
 
-    def __pow__(self, k: int) -> "FactoredRational":
-        if k == 0:
-            return FactoredRational.one(self.n)
-        base = self if k > 0 else self.inv()
-        return FactoredRational(
-            base.n, base.scalar ** abs(k),
-            tuple(e * abs(k) for e in base.monomial),
-            tuple((u, i, v, j, m * abs(k)) for u, i, v, j, m in base.factors))
-
     def scale(self, c) -> "FactoredRational":
         return FactoredRational(self.n, self.scalar * QRat.of(c),
                                 self.monomial, self.factors)
-
-    def substitute_scale(self, i: int, c) -> "FactoredRational":
-        """Replace z_i by c*z_i, absorbing c into the coefficients."""
-        c = QRat.of(c)
-        if c.is_zero():
-            raise ValueError("substitution scale must be nonzero")
-        scalar = self.scalar * c ** self.monomial[i - 1]
-        factors = tuple(
-            (u * c if fi == i else u, fi, v * c if fj == i else v, fj, m)
-            for u, fi, v, fj, m in self.factors)
-        return FactoredRational(self.n, scalar, self.monomial, factors)
 
     def numerator_part(self) -> "FactoredRational":
         """Positive-exponent content: scalar, nonnegative monomial, m > 0."""
@@ -463,16 +428,3 @@ class FactoredRational:
                 for u, i, v, j, m in self.factors
             ],
         }
-
-    @classmethod
-    def from_json(cls, data) -> "FactoredRational":
-        return cls(
-            data["n"],
-            QRat.from_json(data["scalar"]),
-            tuple(data["monomial"]),
-            [
-                (QRat.from_json(f["u"]), f["i"], QRat.from_json(f["v"]),
-                 f["j"], f["m"])
-                for f in data["factors"]
-            ],
-        )

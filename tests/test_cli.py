@@ -202,6 +202,13 @@ ARTIFACT_SHA256 = {
     "weight-minus-latex-summary-n6": (
         ["weight", "minus", "--n", "6", "--format", "latex-summary"],
         "1ffbba366bc9cb3d5d310765d6c2dc9a22fd19b4aebe3d46e953e6ca5ce571e9"),
+    # recorded before the diagonal of M lost its special case
+    "blocks-matrices-q2": (
+        ["blocks", "matrices", "--n", "4", "--scale", "q^2"],
+        "91737353c9074e49d7752dd8f22879edec0a2b59692300f2dc9b907f630b624c"),
+    "blocks-matrices-minus-q-inverse": (
+        ["blocks", "matrices", "--n", "4", "--scale=-q^-1"],
+        "637b91fe35edce70dcb073eb2bbad444d3bcf69814d7557679df8ea1b6d5d63c"),
 }
 
 
@@ -346,6 +353,10 @@ def test_canonical_json_rejects_inexact_and_unknown_values(obj):
     ("blocks matrices --n 1", "need at least two variables"),
     ("blocks matrices --n 3", "matrix parameter c = 1 (--scale) makes"),
     ("blocks matrices --n 2 --scale q^2 --format latex", "matrices have no LaTeX form"),
+    ("weight plus --n 2 --format latex --modes --window 3",
+     "--format latex has no mode expansion"),
+    ("weight plus --n 2 --format latex-summary --modes --window 3",
+     "--format latex-summary has no mode expansion"),
     ("rmatrix --cartan-order -1", "--cartan-order must be at least 0"),
     ("verify --suite enumeration --n 11", "brute-force enumeration is capped at n = 10"),
     ("verify --suite modes --window 1", "--window must be at least 2"),
@@ -365,6 +376,23 @@ def test_input_error_prints_no_traceback():
         capture_output=True, text=True)
     assert proc.returncode != 0
     assert proc.stderr == "uqa22: index 3 is out of range 1..2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "weight plus --n 1 --no-cache --out {dir}",
+    "weight plus --n 1 --cache-dir {file}",
+    "verify --suite kernels --report {file}/x.json",
+], ids=["out-is-a-directory", "cache-dir-is-a-file", "report-under-a-file"])
+def test_unwritable_output_path_exits_with_a_message(argv, tmp_path):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    args = argv.format(dir=tmp_path / "dir", file=tmp_path / "file").split()
+    proc = subprocess.run([sys.executable, "-m", "uqa22.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("uqa22: ")
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.rglob(".tmp-*"))
 
 
 @pytest.mark.parametrize("suite", ["oracle", "interp"])

@@ -159,6 +159,14 @@ def test_integral_fractions_are_stored_as_int():
     assert hash(p) == hash(QPoly(-1, [2, Fraction(1, 3), 0, 1]))
 
 
+@pytest.mark.parametrize("c", [0, 1, -1, 7, 10**30, Fraction(1, 2),
+                               Fraction(-3, 7), Fraction(4, 2)])
+def test_a_constant_hashes_like_the_number_it_equals(c):
+    x = QRat(c)
+    assert x == c and hash(x) == hash(c)
+    assert len({x, c}) == 1
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError, match="not an exact rational"):
         QPoly(0, [0.5])

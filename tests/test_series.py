@@ -1,5 +1,6 @@
 """Truncated expansions: correctness, validity bookkeeping, exact evaluation."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -94,15 +95,6 @@ def test_substitute_scale_identity_and_inverse():
     assert back.terms == s.terms
     with pytest.raises(ValueError, match="nonzero"):
         s.substitute_scale(1, qnum(0))
-
-
-def test_substitute_scale_on_factored_matches_series_substitution():
-    # the beta kernel with its argument scaled matches substitution on
-    # the expansion, which is how twisted composite arguments are built
-    fr = build_kernel("beta", qnum(1), 1, 2, 2)
-    direct = fr.substitute_scale(1, qpow(1, -1)).expand(5)
-    via_series = fr.expand(5).substitute_scale(1, qpow(1, -1))
-    assert direct.equal_up_to(via_series, 5)
 
 
 def test_eval_exact_examples():
@@ -221,12 +213,43 @@ def test_series_json_round_trip():
     assert t == s
 
 
-def test_factored_json_round_trip():
-    fr = build_block("nu", ArgList((1, 2), 3), 2, 3)
-    back = FactoredRational.from_json(fr.to_json())
-    assert back.scalar == fr.scalar
-    assert back.monomial == fr.monomial
-    assert back.factors == fr.factors
+# a degenerate binomial (equal indices, or a zero u or v) folds into the
+# scalar and the monomial; to_json recorded before the three folds became
+# one rule
+_Z = '{"factors":[],"monomial":[0,0],"n":2,"scalar":{"den":[[0,"1"]],"num":[]}}'
+
+
+@pytest.mark.parametrize("n, scalar, mono, factors, want", [
+    (3, qpow(1), (1, 0, 0),
+     [(qnum(1), 2, qpow(2, -1), 2, -1), (qnum(1), 1, qnum(-1), 3, 1)],
+     '{"factors":[{"i":1,"j":3,"m":1,"u":{"den":[[0,"1"]],"num":[[0,"1"]]},'
+     '"v":{"den":[[0,"1"]],"num":[[0,"-1"]]}}],"monomial":[1,-1,0],"n":3,'
+     '"scalar":{"den":[[0,"-1"],[2,"1"]],"num":[[1,"-1"]]}}'),
+    (3, qnum(2), None,
+     [(qnum(0), 1, qpow(1), 3, 2), (qnum(1), 1, qpow(1), 2, -1)],
+     '{"factors":[{"i":1,"j":2,"m":-1,"u":{"den":[[0,"1"]],"num":[[0,"1"]]},'
+     '"v":{"den":[[0,"1"]],"num":[[1,"1"]]}}],"monomial":[0,0,2],"n":3,'
+     '"scalar":{"den":[[0,"1"]],"num":[[2,"2"]]}}'),
+    (3, qnum(1), (0, 1, 0),
+     [(qpow(2), 2, qnum(0), 3, -1), (qnum(1), 2, qpow(1), 3, 1)],
+     '{"factors":[{"i":2,"j":3,"m":1,"u":{"den":[[0,"1"]],"num":[[0,"1"]]},'
+     '"v":{"den":[[0,"1"]],"num":[[1,"1"]]}}],"monomial":[0,0,0],"n":3,'
+     '"scalar":{"den":[[0,"1"]],"num":[[-2,"1"]]}}'),
+    (2, qnum(3), (1, 0), [(qnum(0), 1, qnum(0), 2, 1)], _Z),
+    (2, qnum(3), None, [(qnum(1), 2, qnum(-1), 2, 2)], _Z),
+], ids=["equal-index", "u-zero", "v-zero", "zero-base-numerator",
+        "equal-index-zero-base-numerator"])
+def test_degenerate_binomials_fold_into_scalar_and_monomial(
+        n, scalar, mono, factors, want):
+    fr = FactoredRational(n, scalar, mono, factors)
+    assert json.dumps(fr.to_json(), sort_keys=True, separators=(",", ":")) == want
+
+
+@pytest.mark.parametrize("factor", [(qnum(0), 1, qnum(0), 2, -1),
+                                    (qnum(1), 2, qnum(-1), 2, -2)])
+def test_zero_base_in_the_denominator_raises(factor):
+    with pytest.raises(ZeroDivisionError, match="zero base"):
+        FactoredRational(2, 1, None, [factor])
 
 
 def test_validity_of_products():

@@ -1,10 +1,13 @@
 """Verification suites: determinism, reporting, brute-force reference."""
 
+import collections
 import json
 
 import pytest
 
+from uqa22 import verify
 from uqa22.projection import PLUS
+from uqa22.qfield import qpow
 from uqa22.verify import SUITE_NAMES, brute_admissible, run_suite
 
 
@@ -32,6 +35,53 @@ def test_suites_pass(name):
     rep = run_suite(name, **kwargs)
     assert rep.cases > 0
     assert rep.passed, rep.failures
+
+
+@pytest.mark.parametrize("wrong, cases", [
+    ("rho", ("rho-interpolation", "rho-kronecker")),
+    ("lambda", ("lambda-identity", "lambda-normalization")),
+    ("mu", ("block-matrix-identity",)),
+    ("nu", ("block-matrix-identity",)),
+    ("W", ("cauchy-closed-form",)),
+])
+def test_interp_fails_each_case_on_a_wrong_value(wrong, cases, monkeypatch):
+    # one block kind scaled by q, or one entry of W scaled by q, must fail
+    # the cases that compare against it, at every size, and no other
+    real_block, real_matrices = verify.build_block, verify.build_matrices
+
+    def block(kind, *args):
+        fr = real_block(kind, *args)
+        return fr.scale(qpow(1)) if kind == wrong else fr
+
+    def matrices(c, size):
+        m, v, w = real_matrices(c, size)
+        return m, v, ([w[0].scale(qpow(1)), *w[1:]] if wrong == "W" else w)
+
+    monkeypatch.setattr(verify, "build_block", block)
+    monkeypatch.setattr(verify, "build_matrices", matrices)
+    rep = run_suite("interp", n=3)
+    assert {f["case"] for f in rep.failures} \
+        == {f"{case}/n={size}" for case in cases for size in (2, 3)}
+
+
+def test_interp_builds_each_matrix_and_block_once(monkeypatch):
+    calls = collections.Counter()
+    real_block, real_matrices = verify.build_block, verify.build_matrices
+
+    def block(kind, args, k, n):
+        calls["block", kind, args, k, n] += 1
+        return real_block(kind, args, k, n)
+
+    def matrices(c, size):
+        calls["matrices", c, size] += 1
+        return real_matrices(c, size)
+
+    monkeypatch.setattr(verify, "build_block", block)
+    monkeypatch.setattr(verify, "build_matrices", matrices)
+    assert run_suite("interp", n=4).passed
+    assert set(calls.values()) == {1}
+    assert sum(key[0] == "matrices" for key in calls) == 15   # 5 c's, 3 sizes
+    assert sum(key[0] == "block" for key in calls) == 24      # 4 kinds, 6 k's
 
 
 def test_goldens_suite_reports_only_the_known_mismatches():
