@@ -16,24 +16,19 @@ from .ncalg import (
 )
 from .blocks import (
     ArgList,
-    KernelConstant,
     build_block,
     build_kernel,
     build_matrices,
     build_tilde_block,
     kernel_value,
     residue_constant,
-    residue_constants,
 )
 from .projection import (
     AdmissiblePair,
     WeightExpr,
     WeightTerm,
     admissible_pairs,
-    build_F,
-    build_S,
-    build_F_tilde,
-    build_S_tilde,
+    build_fs,
     mode_expand,
     star_projection,
     weight_minus_closed,

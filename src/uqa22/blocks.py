@@ -13,10 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .qfield import QRat, qnum, qpow
+from .qfield import ONE, QRat, qnum, qpow
 from .series import FactoredRational
 
-ONE = qnum(1)
 MINUS_ONE = qnum(-1)
 
 
@@ -160,12 +159,6 @@ SCALES = {"1": ONE, "-q": qpow(1, -1), "-q^-1": qpow(-1, -1), "q": _Q,
           "q^2": _Q2, "q^3": _Q3, "-q^3": qpow(3, -1)}
 
 
-class KernelConstant(NamedTuple):
-    kind: str
-    pole: QRat      # the monomial c with the pole at u = c*z
-    value: QRat     # residue constant; zero when the kernel has no such pole
-
-
 def kernel_value(kind: str, x: QRat) -> QRat:
     """Evaluate a kernel at an explicit element of Q(q)."""
     num_atoms, den_atoms = _KERNELS[kind]
@@ -196,8 +189,8 @@ def kernel_poles(kind: str):
     return [MINUS_ONE * b / a for a, b in den_atoms]
 
 
-def residue_constant(kind: str, pole: QRat) -> KernelConstant:
-    """Residue constant A with kernel_c(x) = A/(c - x) at the given pole.
+def residue_constant(kind: str, pole: QRat) -> QRat:
+    """Residue constant A with kernel_c(x) = A/(c - x) at the pole c.
 
     Extracting the residue of kernel(z/u)/(u - w) at u = c*z amounts to
     cancelling the unique denominator binomial vanishing at x = 1/c; a
@@ -214,22 +207,13 @@ def residue_constant(kind: str, pole: QRat) -> KernelConstant:
         else:
             rest.append((a, b))
     if hit is None:
-        return KernelConstant(kind, c, QRat.of(0))
+        return QRat.of(0)
     value = MINUS_ONE * c * c / hit[1]
     for a, b in num_atoms:
         value = value * (a + b * x0)
     for a, b in rest:
         value = value / (a + b * x0)
-    return KernelConstant(kind, c, value)
-
-
-def residue_constants():
-    """All residue constants at the poles each kernel actually has."""
-    out = []
-    for kind in ("alpha", "beta", "gamma"):
-        for c in kernel_poles(kind):
-            out.append(residue_constant(kind, c))
-    return out
+    return value
 
 
 # -- Cauchy-type interpolation matrices -------------------------------------

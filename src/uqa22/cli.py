@@ -130,10 +130,10 @@ def _cached(args, key_fields: dict, compute):
     if cdir is not None:
         path = cdir / f"{key}.json"
         if path.exists():
-            text = path.read_text()
             try:
+                text = path.read_text()
                 data = json.loads(text)
-            except ValueError:
+            except ValueError:  # UnicodeDecodeError included
                 print(f"warning: corrupt cache entry {path}; recomputing",
                       file=sys.stderr)
             else:
@@ -212,7 +212,7 @@ def _cmd_rmatrix(args) -> int:
             "window": args.window,
             "factors": [
                 {"name": "r_plus_21", "tensor": factors[0].to_json()},
-                {"name": "h_token", "token": factors[1].name},
+                {"name": "h_token", "token": factors[1]},
                 {"name": "cartan_21", "tensor": factors[2].to_json()},
                 {"name": "r_minus", "tensor": factors[3].to_json()},
             ],

@@ -225,33 +225,16 @@ def clear_caches():
 
 
 def build_fs(factor: str, orientation: str, args: ArgList, n: int,
-             depth: int) -> WeightExpr:
-    """The F or S factor of either side, expanded.
+             depth: int) -> NCExpr:
+    """The F or S factor of either side, expanded: on the plus side
+    F(row; t) = Pf(t) - sum rho_k Pf(k) and
+    S(row; t) = Ps(t) - sum mu_k Ps(k) - sum nu_k Ps(-q k).
 
     The value is symmetric in the row, so the cache key sorts it.
     """
     args.check()
-    expr = _FS_CACHES[factor, orientation](tuple(sorted(args.prefix)),
+    return _FS_CACHES[factor, orientation](tuple(sorted(args.prefix)),
                                            args.target, n, depth)
-    return WeightExpr(expr, n, depth, orientation)
-
-
-def build_F(args: ArgList, n: int, depth: int) -> WeightExpr:
-    """F(row; target) = Pf(target) - sum_k rho_k * Pf(k), expanded."""
-    return build_fs("F", PLUS, args, n, depth)
-
-
-def build_S(args: ArgList, n: int, depth: int) -> WeightExpr:
-    """S(row; target) = Ps(target) - sum mu_k Ps(k) - sum nu_k Ps(-q k)."""
-    return build_fs("S", PLUS, args, n, depth)
-
-
-def build_F_tilde(args: ArgList, n: int, depth: int) -> WeightExpr:
-    return build_fs("F", MINUS, args, n, depth)
-
-
-def build_S_tilde(args: ArgList, n: int, depth: int) -> WeightExpr:
-    return build_fs("S", MINUS, args, n, depth)
 
 
 def tau_factored(pair: AdmissiblePair, k: int) -> FactoredRational:
@@ -332,7 +315,7 @@ def _weight_closed(n: int, depth: int, orientation: str) -> WeightExpr:
         expr = NCExpr.one(n)
         for factor, row, target in term.factors():
             expr = expr * build_fs(factor, orientation, ArgList(row, target),
-                                   n, depth).expr
+                                   n, depth)
         total = total + expr.scale(tau.expand(depth))
     return WeightExpr(total, n, depth, orientation)
 
@@ -384,14 +367,15 @@ def weight_plus_recursive(n: int, depth: int) -> WeightExpr:
         if f_row:
             t, rest = f_row[-1], f_row[:-1]
             row = s_row + rest
-            out = project(s_row, rest) * build_F(ArgList(row, t), n, depth).expr
+            out = project(s_row, rest) * build_fs("F", PLUS, ArgList(row, t),
+                                                  n, depth)
             for pos, w in enumerate(rest):
                 tau = tau_for(s_row, rest, w, t)
                 sub = project(s_row + (w,), rest[:pos] + rest[pos + 1:])
                 out = out + sub.scale(tau.expand(depth))
         elif s_row:
-            out = project(s_row[:-1], ()) * build_S(
-                ArgList(s_row[:-1], s_row[-1]), n, depth).expr
+            out = project(s_row[:-1], ()) * build_fs(
+                "S", PLUS, ArgList(s_row[:-1], s_row[-1]), n, depth)
         else:
             out = NCExpr.one(n)
         memo[key] = out
@@ -433,15 +417,15 @@ def weight_minus_recursive(n: int, depth: int) -> WeightExpr:
             return hit
         if f_row:
             t, rest = f_row[0], f_row[1:]
-            head = build_F_tilde(ArgList(rest + s_row, t), n, depth).expr
+            head = build_fs("F", MINUS, ArgList(rest + s_row, t), n, depth)
             out = head * project(rest, s_row)
             for pos, w in enumerate(rest):
                 tau = tau_for(rest, s_row, w, t)
                 sub = project(rest[:pos] + rest[pos + 1:], (w,) + s_row)
                 out = out + sub.scale(tau.expand(depth))
         elif s_row:
-            out = build_S_tilde(ArgList(s_row[1:], s_row[0]), n,
-                                depth).expr * project((), s_row[1:])
+            out = build_fs("S", MINUS, ArgList(s_row[1:], s_row[0]), n,
+                           depth) * project((), s_row[1:])
         else:
             out = NCExpr.one(n)
         memo[key] = out

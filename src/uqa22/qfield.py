@@ -77,10 +77,6 @@ class QPoly:
         return _POLY_ONE
 
     @classmethod
-    def q(cls, e: int = 1, c=1) -> "QPoly":
-        return cls(e, (c,))
-
-    @classmethod
     def from_terms(cls, terms) -> "QPoly":
         """Build from {exponent: coeff} or an iterable of (exponent, coeff)."""
         d = dict(terms) if not isinstance(terms, dict) else terms
@@ -242,83 +238,53 @@ _POLY_ONE = QPoly(0, (1,))
 
 # -- ordinary (valuation-zero) polynomial helpers used for gcd ------------
 #
-# Lists are dense ascending coefficient lists.  The Euclidean helpers lift
-# their input to Fraction first, since the quotient of two ints is a float.
-
-def _list_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _list_mod(a, b):
-    """Remainder of a by b; dense ascending coefficient lists over Q."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        factor = a[-1] / lb
-        shift = len(a) - 1 - db
-        for k in range(db + 1):
-            a[shift + k] -= factor * b[k]
-        _list_trim(a)
-    return a
-
-
-def _list_gcd(a, b):
-    """Monic gcd over Q, by Euclid's algorithm."""
-    a = _list_trim([Fraction(c) for c in a])
-    b = _list_trim([Fraction(c) for c in b])
-    while b:
-        a, b = b, _list_mod(a, b)
-    lc = a[-1]
-    if lc != 1:
-        a = [c / lc for c in a]
-    return a
-
-
-def _list_div_exact(a, b):
-    """Exact quotient a / b; raises if the division leaves a remainder."""
-    a = [Fraction(c) for c in a]
-    db, lb = len(b) - 1, b[-1]
-    out = [Fraction(0)] * (len(a) - db)
-    while len(a) - 1 >= db and a:
-        factor = a[-1] / lb
-        shift = len(a) - 1 - db
-        out[shift] = factor
-        for k in range(db + 1):
-            a[shift + k] -= factor * b[k]
-        _list_trim(a)
-    if a:
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
+# Lists are dense ascending coefficient lists without trailing zeros.
 
 # Monic, irreducible over Q and pairwise coprime, as ascending lists:
 # Phi2 = 1+q and Phi6 = 1-q+q^2 (so 1+q^3 = Phi2*Phi6), and Phi1 = q-1.
 _FACTORS = ((1, 1), (1, -1, 1), (-1, 1))
 
 
-def _div_monic(a, f):
-    """Quotient of a by the monic f when f divides a exactly, else None.
+def _divmod_monic(a, f):
+    """Quotient and trimmed remainder of a by the monic f.
 
-    Synthetic division: no coefficient is ever divided, so an integer
-    list stays an integer list.
+    Synthetic division: no coefficient is ever divided, so integer lists
+    give integer lists.
     """
     d = len(f) - 1
-    n = len(a) - d
-    if n <= 0:
-        return None
     a = list(a)
-    out = [0] * n
-    for s in range(n - 1, -1, -1):
+    out = [0] * max(len(a) - d, 0)
+    for s in range(len(out) - 1, -1, -1):
         c = a[s + d]
         out[s] = c
         if c:
             for k in range(d):
                 a[s + k] -= c * f[k]
-    if any(a[:d]):
-        return None
-    return out
+    rem = a[:d]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return out, rem
+
+
+def _div_monic(a, f):
+    """Quotient of a by the monic f when f divides a exactly, else None."""
+    quo, rem = _divmod_monic(a, f)
+    return quo if quo and not rem else None
+
+
+def _list_gcd(a, b):
+    """Monic gcd over Q of a and a nonzero b, by Euclid's algorithm.
+
+    Each divisor is made monic before it divides, dividing by its leading
+    coefficient as a Fraction (an int quotient would be a float), so the
+    last divisor is the monic gcd.
+    """
+    a = [Fraction(c) for c in a]
+    while b:
+        lc = Fraction(b[-1])
+        b = [c / lc for c in b]
+        a, b = b, _divmod_monic(a, b)[1]
+    return a
 
 
 @lru_cache(maxsize=512)
@@ -340,7 +306,7 @@ def _reduce_euclid(a, b):
     """a and b divided by their monic gcd, found by Euclid's algorithm."""
     g = _list_gcd(a, b)
     if len(g) > 1:
-        return _list_div_exact(a, g), _list_div_exact(b, g)
+        return _divmod_monic(a, g)[0], _divmod_monic(b, g)[0]
     return a, b
 
 
@@ -427,14 +393,6 @@ class QRat:
         if isinstance(value, QRat):
             return value
         return cls(value)
-
-    @classmethod
-    def q(cls, e: int = 1, c=1) -> "QRat":
-        """Monomial c * q^e."""
-        c = _coeff(c)
-        if c == 0:
-            return cls()
-        return cls(QPoly.q(e, c), QPoly.one(), _canonical=True)
 
     # -- predicates ---------------------------------------------------
 
@@ -569,8 +527,11 @@ ONE = QRat(1)
 
 
 def qpow(e: int, c=1) -> QRat:
-    """Shorthand for the monomial c * q^e."""
-    return QRat.q(e, c)
+    """The monomial c * q^e."""
+    c = _coeff(c)
+    if c == 0:
+        return ZERO
+    return QRat(QPoly(e, (c,)), _POLY_ONE, _canonical=True)
 
 
 def qnum(c) -> QRat:

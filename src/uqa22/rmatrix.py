@@ -69,14 +69,8 @@ class TensorExpr:
         return cls(terms, data["order"], data["window"])
 
 
-@dataclass(frozen=True)
-class OpaqueFactor:
-    """Placeholder for a factor kept as an unexpanded token."""
-
-    name: str
-
-
-H_TENSOR_H = OpaqueFactor("q^(h x h)")
+# the Cartan factor, kept as an unexpanded token
+H_TENSOR_H = "q^(h x h)"
 
 
 def _coupling() -> QRat:

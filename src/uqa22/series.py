@@ -25,14 +25,11 @@ from fractions import Fraction
 from itertools import count
 from math import comb
 
-from .qfield import QRat
+from .qfield import ONE, ZERO, QRat
 
 INF = math.inf
 
 ExpVec = tuple
-
-_ZERO = QRat(0)
-_ONE = QRat(1)
 
 
 def ratio_degree(a) -> int:
@@ -72,10 +69,10 @@ class ExpansionSeries:
 
     @classmethod
     def one(cls, n: int) -> "ExpansionSeries":
-        return cls(n, {(0,) * n: _ONE}, INF)
+        return cls(n, {(0,) * n: ONE}, INF)
 
     @classmethod
-    def monomial(cls, n: int, a, coeff=_ONE) -> "ExpansionSeries":
+    def monomial(cls, n: int, a, coeff=ONE) -> "ExpansionSeries":
         return cls(n, {tuple(a): QRat.of(coeff)}, INF)
 
     # -- introspection ----------------------------------------------------
@@ -84,7 +81,7 @@ class ExpansionSeries:
         return not self.terms
 
     def coefficient(self, a) -> QRat:
-        return self.terms.get(tuple(a), _ZERO)
+        return self.terms.get(tuple(a), ZERO)
 
     def min_degree_bound(self):
         """A lower bound on the true minimal ratio degree of the series."""
@@ -252,7 +249,7 @@ class FactoredRational:
 
     __slots__ = ("n", "scalar", "monomial", "factors")
 
-    def __init__(self, n: int, scalar=_ONE, monomial=None, factors=()):
+    def __init__(self, n: int, scalar=ONE, monomial=None, factors=()):
         self.n = n
         scalar = QRat.of(scalar)
         mono = list(monomial) if monomial is not None else [0] * n
@@ -291,7 +288,7 @@ class FactoredRational:
             else:
                 kept.append((u, i, v, j, m))
         if scalar.is_zero():
-            self.scalar = _ZERO
+            self.scalar = ZERO
             self.monomial = (0,) * n
             self.factors = ()
         else:
@@ -335,7 +332,7 @@ class FactoredRational:
         """The exact polynomial the value must be multiplied by to clear it."""
         mono = tuple(-min(e, 0) for e in self.monomial)
         return FactoredRational(
-            self.n, _ONE, mono,
+            self.n, ONE, mono,
             tuple((u, i, v, j, -m) for u, i, v, j, m in self.factors if m < 0))
 
     def total_degree(self) -> int:

@@ -60,6 +60,19 @@ def test_weight_cache_corruption_recovers(tmp_path, capsys):
     assert again == first
 
 
+def test_weight_cache_entry_with_invalid_utf8_recovers(tmp_path, capsys):
+    args = ["weight", "plus", "--n", "1", "--depth", "2",
+            "--cache-dir", str(tmp_path)]
+    _, first = invoke(capsys, args)
+    entry = next(tmp_path.glob("*.json"))
+    entry.write_bytes(b"\xff\xfe garbage")
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == first
+    assert "corrupt cache entry" in captured.err
+    assert "recomputing" in captured.err
+
+
 def test_cache_is_keyed_on_the_engine_fingerprint(tmp_path, capsys,
                                                   monkeypatch):
     args = ["weight", "plus", "--n", "2", "--depth", "3",
@@ -209,6 +222,12 @@ ARTIFACT_SHA256 = {
     "blocks-matrices-minus-q-inverse": (
         ["blocks", "matrices", "--n", "4", "--scale=-q^-1"],
         "637b91fe35edce70dcb073eb2bbad444d3bcf69814d7557679df8ea1b6d5d63c"),
+    # recorded before the Cartan token became a plain string; the text
+    # form prints the token line
+    "rmatrix-text-cartan-order-2": (
+        ["rmatrix", "--order", "1", "--window", "3", "--format", "text",
+         "--cartan-order", "2"],
+        "5d3f26a168491369aaf960b203ded5c82c5e1e3df153b979d03995282b4abbac"),
 }
 
 
@@ -217,6 +236,27 @@ def test_artifacts_are_byte_identical(case, capsys):
     args, digest = ARTIFACT_SHA256[case]
     _, out = invoke(capsys, [*args, "--no-cache"])
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the kernels report, recorded before the residue constants
+# became plain values and the polynomial divisions of qfield one routine;
+# the suite runs the residue path and Euclid's gcd at random points
+KERNELS_REPORT_SHA256 = {
+    0: "c25a935d5dcfc9eef72279697e74a0901aa62e24764a1b0c4b519a7a8250f9f1",
+    1: "e40877b8bcab6f5549df09823d0e4c63f8a76490393451e421a4b22d55c62bd8",
+    2: "dcdf759447dcdd244b4eac00c2a1ba51355ac20747bc6cd26bcb0e1bd4070a1d",
+    3: "af3897408c2a14824aac67667b7934493009b7f55d937e35177a34288c138fe1",
+}
+
+
+@pytest.mark.parametrize("seed", list(KERNELS_REPORT_SHA256))
+def test_kernels_report_is_byte_identical(seed, tmp_path, capsys):
+    report = tmp_path / "rep.json"
+    code, _ = invoke(capsys, ["verify", "--suite", "kernels", "--seed",
+                              str(seed), "--report", str(report)])
+    assert code == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == KERNELS_REPORT_SHA256[seed]
 
 
 def test_weight_latex_contains_block_ratio(tmp_path, capsys):

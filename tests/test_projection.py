@@ -9,9 +9,7 @@ from uqa22.projection import (
     PLUS,
     AdmissiblePair,
     admissible_pairs,
-    build_F,
-    build_F_tilde,
-    build_S,
+    build_fs,
     f_row,
     mode_expand,
     star_projection,
@@ -84,24 +82,24 @@ def test_pair_validation():
 # -- building blocks ----------------------------------------------------------
 
 def test_F_with_empty_row_is_a_bare_symbol():
-    f = build_F(ArgList((), 1), 2, 4)
-    assert set(f.expr.coeffs) == {(abstract("f+", 1),)}
+    f = build_fs("F", PLUS, ArgList((), 1), 2, 4)
+    assert set(f.coeffs) == {(abstract("f+", 1),)}
 
 
 def test_F_matches_rho_blocks():
-    f = build_F(ArgList((1,), 2), 2, 5)
+    f = build_fs("F", PLUS, ArgList((1,), 2), 2, 5)
     rho = build_block("rho", ArgList((1,), 2), 1, 2).expand(5)
-    got = f.expr.coefficient((abstract("f+", 1),))
+    got = f.coefficient((abstract("f+", 1),))
     assert got.equal_up_to(-rho, 5)
 
 
 def test_S_coefficients_carry_twisted_symbol():
-    s = build_S(ArgList((1,), 2), 2, 5)
-    words = set(s.expr.coeffs)
+    s = build_fs("S", PLUS, ArgList((1,), 2), 2, 5)
+    words = set(s.coeffs)
     assert (abstract("s+", 1, True),) in words
     assert (abstract("s+", 2),) in words
     nu = build_block("nu", ArgList((1,), 2), 1, 2).expand(5)
-    assert s.expr.coefficient((abstract("s+", 1, True),)).equal_up_to(-nu, 5)
+    assert s.coefficient((abstract("s+", 1, True),)).equal_up_to(-nu, 5)
 
 
 def test_F_IJ_row_selection():
@@ -155,11 +153,11 @@ def test_weight_plus_n2_structure():
 
 def test_weight_plus_n2_value():
     w = weight_plus_closed(2, 5)
-    f2 = build_F(ArgList((1,), 2), 2, 5)
+    f2 = build_fs("F", PLUS, ArgList((1,), 2), 2, 5)
     pf1 = NCExpr.from_word(2, (abstract("f+", 1),))
     tau = tau_factored(AdmissiblePair((1,), (2,), PLUS, 2), 1).expand(5)
     ps1 = NCExpr.from_word(2, (abstract("s+", 1),))
-    want = pf1 * f2.expr + ps1.scale(tau)
+    want = pf1 * f2 + ps1.scale(tau)
     assert w.expr.equal_up_to(want, 5)
 
 
@@ -197,11 +195,11 @@ def test_weight_minus_n1():
 def test_weight_minus_n2_hand_unrolled():
     from uqa22.blocks import build_tilde_block
     w = weight_minus_closed(2, 5)
-    ftilde = build_F_tilde(ArgList((2,), 1), 2, 5)
+    ftilde = build_fs("F", MINUS, ArgList((2,), 1), 2, 5)
     pf2 = NCExpr.from_word(2, (abstract("f-", 2),))
     tau = build_tilde_block("lambda", ArgList((2,), 1), 2, 2).expand(5)
     ps2 = NCExpr.from_word(2, (abstract("s~-", 2),))
-    want = ftilde.expr * pf2 + ps2.scale(tau)
+    want = ftilde * pf2 + ps2.scale(tau)
     assert w.expr.equal_up_to(want, 5)
 
 

@@ -10,6 +10,8 @@ from uqa22.qfield import (
     _FACTORS,
     QPoly,
     QRat,
+    _div_monic,
+    _divmod_monic,
     _factor_exponents,
     _list_gcd,
     _reduce,
@@ -278,6 +280,43 @@ def test_unlisted_denominator_factor_still_reduces(u, num_exps, den_exps, g):
     assert _list_gcd(x.num.coeffs, x.den.coeffs) == [1]
     assert x == QRat(num * g, den * g)
     assert x * QRat(den) == QRat(num)
+
+
+# -- the one division routine -------------------------------------------------
+
+@st.composite
+def division_cases(draw):
+    """(a, f): a coefficient list of length 0-12 and a monic f of length
+    1-5, either both integral or with Fraction coefficients mixed in."""
+    coeff = (st.integers(min_value=-6, max_value=6) if draw(st.booleans())
+             else int_or_frac)
+    return (draw(st.lists(coeff, max_size=12)),
+            [*draw(st.lists(coeff, max_size=4)), 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_cases())
+def test_divmod_monic_is_division_with_remainder(case):
+    a, f = case
+    quo, rem = _divmod_monic(a, f)
+    assert QPoly(0, quo) * QPoly(0, f) + QPoly(0, rem) == QPoly(0, a)
+    assert len(rem) < len(f)
+    assert not rem or rem[-1] != 0
+    if all(type(c) is int for c in [*a, *f]):
+        assert all(type(c) is int for c in [*quo, *rem])
+
+
+@settings(max_examples=100, deadline=None)
+@given(division_cases(), dense_polys, dense_polys)
+def test_list_gcd_is_monic_and_divides_both(case, u, v):
+    g = list(QPoly(0, case[1]).coeffs)      # monic, q-power stripped
+    a = list((u * QPoly(0, g)).coeffs)
+    b = list((v * QPoly(0, g)).coeffs)
+    h = _list_gcd(a, b)
+    assert h[-1] == 1
+    assert _div_monic(a, h) is not None
+    assert _div_monic(b, h) is not None
+    assert _div_monic(h, g) is not None     # the common factor divides it
 
 
 # -- products with a unit-denominator monomial skip the reduction ----------
