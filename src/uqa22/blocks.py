@@ -1,11 +1,12 @@
 """Constructors for every scalar rational building block.
 
-The interpolation coefficients (rho, lambda, mu, nu and their tilde
-mirrors, from one table of factor templates), the exchange kernels
-alpha, beta, gamma with their residue data, and the Cauchy-type
-interpolation matrices are built here as FactoredRational values.  Blocks are kept factored and expanded only at
-the last moment, so the exact interpolation identities can be tested at
-the rational level where they hold literally.
+The interpolation coefficients (rho, lambda, mu, nu from one table of
+factor templates, and their tilde blocks derived from it), the exchange
+kernels alpha, beta, gamma with their residue data, and the Cauchy-type
+interpolation matrices are built here as FactoredRational values.
+Blocks are kept factored and expanded only at the last moment, so the
+exact interpolation identities can be tested at the rational level where
+they hold literally.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .qfield import ONE, QRat, qnum, qpow
-from .series import FactoredRational
+from .series import FactoredRational, unit_vec
 
 MINUS_ONE = qnum(-1)
 
@@ -58,50 +59,54 @@ class _Block(NamedTuple):
 _Q, _Q2, _Q3, _MQ2 = qpow(1), qpow(2), qpow(3), qpow(2, -1)
 _CROSS = ((ONE, "t", MINUS_ONE, "i", 1), (ONE, "k", MINUS_ONE, "i", -1))
 
-# keyed by (kind, tilde); the plus-side distinguished variable comes last,
-# the tilde one first
-_BLOCKS = {
-    ("rho", False): _Block((1, 0, 0), False, (), _CROSS, (
-        (ONE, "k", _MQ2, "i", 1), (ONE, "t", _MQ2, "i", -1))),
-    ("lambda", False): _Block((1, 0, 0), True, ((_Q, "t", ONE, "k", -1),), (), (
+
+def _rho_row(c: QRat) -> tuple:
+    """The row templates (z_k - c z_i)/(z_t - c z_i); rho has c = q^2."""
+    return ((ONE, "k", -c, "i", 1), (ONE, "t", -c, "i", -1))
+
+
+# the plus-side blocks, each with the scalar of its tilde block
+_PLUS = {
+    "rho": (_Block((1, 0, 0), False, (), _CROSS, _rho_row(_Q2)), (1, 0, 0)),
+    "lambda": (_Block((1, 0, 0), True, ((_Q, "t", ONE, "k", -1),), (), (
         (ONE, "t", MINUS_ONE, "i", 1), (ONE, "k", _Q3, "i", 1),
-        (ONE, "k", _Q, "i", -1), (ONE, "t", _MQ2, "i", -1))),
-    ("mu", False): _Block((1, 0, 0), False, (), _CROSS, (
+        (ONE, "k", _Q, "i", -1), (ONE, "t", _MQ2, "i", -1))), (-1, 1, 0)),
+    "mu": (_Block((1, 0, 0), False, (), _CROSS, (
         (ONE, "t", _Q, "i", 1), (ONE, "k", _MQ2, "i", 1),
         (ONE, "k", _Q3, "i", 1), (ONE, "k", _Q, "i", -1),
-        (ONE, "t", _MQ2, "i", -1), (ONE, "t", _Q3, "i", -1))),
+        (ONE, "t", _MQ2, "i", -1), (ONE, "t", _Q3, "i", -1))), (1, 0, 0)),
     # the -q^m prefactor counts the row plus the distinguished variable
-    ("nu", False): _Block((-1, 1, 1), False, (), (
+    "nu": (_Block((-1, 1, 1), False, (), (
         (ONE, "t", _Q, "i", 1), (ONE, "k", MINUS_ONE, "i", -1)), (
         (ONE, "t", MINUS_ONE, "i", 1), (ONE, "k", _Q, "i", 1),
         (ONE, "k", _MQ2, "i", 1), (_Q, "k", ONE, "i", -1),
-        (ONE, "t", _MQ2, "i", -1), (ONE, "t", _Q3, "i", -1))),
-    ("rho", True): _Block((1, 0, 0), False, (), _CROSS, (
-        (_Q2, "k", MINUS_ONE, "i", 1), (_Q2, "t", MINUS_ONE, "i", -1))),
-    ("lambda", True): _Block((-1, 1, 0), True, ((ONE, "t", _Q, "k", -1),), (), (
-        (ONE, "t", MINUS_ONE, "i", 1), (_Q3, "k", ONE, "i", 1),
-        (_Q, "k", ONE, "i", -1), (_Q2, "t", MINUS_ONE, "i", -1))),
-    ("mu", True): _Block((1, 0, 0), False, (), _CROSS, (
-        (_Q, "t", ONE, "i", 1), (_Q2, "k", MINUS_ONE, "i", 1),
-        (_Q3, "k", ONE, "i", 1), (_Q, "k", ONE, "i", -1),
-        (_Q2, "t", MINUS_ONE, "i", -1), (_Q3, "t", ONE, "i", -1))),
-    ("nu", True): _Block((-1, 0, 1), False, (), (
-        (_Q, "t", ONE, "i", 1), (ONE, "k", MINUS_ONE, "i", -1)), (
-        (ONE, "t", MINUS_ONE, "i", 1), (_Q, "k", ONE, "i", 1),
-        (_Q2, "k", MINUS_ONE, "i", 1), (ONE, "k", _Q, "i", -1),
-        (_Q2, "t", MINUS_ONE, "i", -1), (_Q3, "t", ONE, "i", -1))),
+        (ONE, "t", _MQ2, "i", -1), (ONE, "t", _Q3, "i", -1))), (-1, 0, 1)),
 }
 
 
-def _interpolation_block(kind: str, tilde: bool, args: ArgList, k: int,
-                         n: int) -> FactoredRational:
-    try:
-        spec = _BLOCKS[kind, tilde]
-    except KeyError:
-        raise ValueError(f"unknown block kind {kind!r}") from None
-    args.check()
-    if k not in args.prefix:
-        raise ValueError(f"index {k} is not in the argument row")
+def _tilde(spec: _Block, scalar: tuple) -> _Block:
+    """The tilde block: each binomial u z_a + v z_b of the plus block read
+    as v z_a + u z_b, which is z -> 1/z up to a monomial, and negated
+    when that leaves the z_a coefficient with a negative lead."""
+    def flip(templates):
+        out = []
+        for u, a, v, b, m in templates:
+            if v.num.leading_coeff() < 0:
+                u, v = -u, -v
+            out.append((v, a, u, b, m))
+        return tuple(out)
+
+    return _Block(scalar, spec.monomial, flip(spec.lead), flip(spec.cross),
+                  flip(spec.row))
+
+
+# keyed by (kind, tilde); the plus-side distinguished variable comes last,
+# the tilde one first
+_BLOCKS = {(kind, tilde): _tilde(spec, scalar) if tilde else spec
+           for kind, (spec, scalar) in _PLUS.items() for tilde in (False, True)}
+
+
+def _assemble(spec: _Block, args: ArgList, k: int, n: int) -> FactoredRational:
     row, t = args.prefix, args.target
 
     def place(templates, i=None):
@@ -115,11 +120,20 @@ def _interpolation_block(kind: str, tilde: bool, args: ArgList, k: int,
     for i in row:
         fs += place(spec.row, i)
     c, e, e_row = spec.scalar
-    mono = None
-    if spec.monomial:
-        mono = [0] * n
-        mono[k - 1] = 1
+    mono = unit_vec(n, k) if spec.monomial else None
     return FactoredRational(n, qpow(e + e_row * len(row), c), mono, fs)
+
+
+def _interpolation_block(kind: str, tilde: bool, args: ArgList, k: int,
+                         n: int) -> FactoredRational:
+    try:
+        spec = _BLOCKS[kind, tilde]
+    except KeyError:
+        raise ValueError(f"unknown block kind {kind!r}") from None
+    args.check()
+    if k not in args.prefix:
+        raise ValueError(f"index {k} is not in the argument row")
+    return _assemble(spec, args, k, n)
 
 
 def build_block(kind: str, args: ArgList, k: int, n: int) -> FactoredRational:
@@ -128,7 +142,7 @@ def build_block(kind: str, args: ArgList, k: int, n: int) -> FactoredRational:
 
 
 def build_tilde_block(kind: str, args: ArgList, k: int, n: int) -> FactoredRational:
-    """The tilde mirror of ``build_block``."""
+    """The tilde block: the plus block with every binomial reversed."""
     return _interpolation_block(kind, True, args, k, n)
 
 
@@ -232,62 +246,26 @@ def build_matrices(c: QRat, n: int):
     if c.is_one():
         raise ValueError("matrix parameter c = 1 (--scale) makes the "
                          "diagonal 1/(1 - c^-1) singular")
-    cinv = c.inv()
-    m = []
-    for i in range(1, n):
-        row = []
-        for j in range(1, n):
-            # z_j/(z_j - c^-1 z_i); at i == j this folds to 1/(1 - c^-1)
-            mono = [0] * n
-            mono[j - 1] = 1
-            row.append(FactoredRational(
-                n, ONE, mono, [(MINUS_ONE * cinv, i, ONE, j, -1)]))
-        m.append(row)
-    v = []
-    for i in range(1, n):
-        mono = [0] * n
-        mono[i - 1] = 1
-        v.append(FactoredRational(
-            n, ONE, mono, [(ONE, i, MINUS_ONE * cinv, n, -1)]))
-    w = []
-    for k in range(1, n):
-        fs = []
-        for i in range(1, n):
-            if i != k:
-                fs.append((ONE, n, MINUS_ONE, i, 1))
-                fs.append((ONE, k, MINUS_ONE, i, -1))
-        for i in range(1, n):
-            fs.append((ONE, k, MINUS_ONE * c, i, 1))
-            fs.append((ONE, n, MINUS_ONE * c, i, -1))
-        w.append(FactoredRational(n, ONE, None, fs))
+    mcinv = -c.inv()
+    # z_j/(z_j - c^-1 z_i); at i == j this folds to 1/(1 - c^-1)
+    m = [[FactoredRational(n, ONE, unit_vec(n, j), [(mcinv, i, ONE, j, -1)])
+          for j in range(1, n)] for i in range(1, n)]
+    v = [FactoredRational(n, ONE, unit_vec(n, i), [(ONE, i, mcinv, n, -1)])
+         for i in range(1, n)]
+    # W(c) is the rho block with q^2 replaced by c
+    spec = _BLOCKS["rho", False]._replace(row=_rho_row(c))
+    row = ArgList(tuple(range(1, n)), n)
+    w = [_assemble(spec, row, k, n) for k in row.prefix]
     return m, v, w
 
 
 # -- exact linear algebra over the rationals --------------------------------
 
-def solve_exact(matrix, rhs):
-    """Solve A x = b over Fraction entries by exact Gaussian elimination."""
-    size = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(b)]
-         for row, b in zip(matrix, rhs)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][size] for r in range(size)]
-
-
-def det_exact(matrix) -> Fraction:
-    """Determinant over Fraction entries, exact."""
-    size = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
+def _gauss_jordan(a) -> Fraction:
+    """Reduce the square block of the rows ``a`` to the identity in place,
+    pivoting on the first nonzero entry; return its determinant (0 when
+    it is singular, with the reduction left unfinished)."""
+    size = len(a)
     det = Fraction(1)
     for col in range(size):
         pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
@@ -298,8 +276,23 @@ def det_exact(matrix) -> Fraction:
             det = -det
         det *= a[col][col]
         inv = 1 / a[col][col]
-        for r in range(col + 1, size):
-            if a[r][col]:
-                f = a[r][col] * inv
+        a[col] = [x * inv for x in a[col]]
+        for r in range(size):
+            if r != col and a[r][col]:
+                f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
+
+
+def solve_exact(matrix, rhs):
+    """Solve A x = b over Fraction entries by exact Gaussian elimination."""
+    a = [[Fraction(x) for x in row] + [Fraction(b)]
+         for row, b in zip(matrix, rhs)]
+    if not _gauss_jordan(a):
+        raise ZeroDivisionError("singular matrix")
+    return [r[-1] for r in a]
+
+
+def det_exact(matrix) -> Fraction:
+    """Determinant over Fraction entries, exact."""
+    return _gauss_jordan([[Fraction(x) for x in row] for row in matrix])

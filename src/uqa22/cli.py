@@ -24,6 +24,7 @@ from pathlib import Path
 from . import __version__, render
 from .blocks import (SCALES, ArgList, build_block, build_kernel, build_matrices,
                      build_tilde_block)
+from .ncalg import NCExpr, _symbol_str
 from .projection import (
     MINUS,
     PLUS,
@@ -31,7 +32,7 @@ from .projection import (
     weight_minus_closed,
     weight_plus_closed,
 )
-from .rmatrix import assemble_R, cartan_coeff
+from .rmatrix import TensorExpr, assemble_R, cartan_coeff
 from .verify import SUITE_NAMES, run_suite
 
 SCHEMA_VERSION = 1
@@ -189,7 +190,6 @@ def _cmd_weight(args) -> int:
     text = _cached(args, key, compute)
     if args.format == "text":
         data = json.loads(text)
-        from .ncalg import NCExpr
         lines = [f"weight {data['sign']} n={data['n']} depth={data['depth']}",
                  str(NCExpr.from_json(data["expr"]))]
         if args.modes:
@@ -234,11 +234,10 @@ def _cmd_rmatrix(args) -> int:
                 lines.append(f"-- {fac['name']}: {fac['token']}")
                 continue
             lines.append(f"-- {fac['name']}:")
-            from .rmatrix import TensorExpr
             tensor = TensorExpr.from_json(fac["tensor"])
             for (l, r), c in tensor.sorted_terms():
-                lw = " ".join(f"{s.family}[{s.index}]" for s in l) or "1"
-                rw = " ".join(f"{s.family}[{s.index}]" for s in r) or "1"
+                lw = " ".join(map(_symbol_str, l)) or "1"
+                rw = " ".join(map(_symbol_str, r)) or "1"
                 lines.append(f"   ({lw}) (x) ({rw})   *   {c}")
         _emit(args, "\n".join(lines))
     else:

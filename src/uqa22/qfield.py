@@ -97,11 +97,6 @@ class QPoly:
             raise ValueError("valuation of zero polynomial")
         return self.off
 
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("degree of zero polynomial")
-        return self.off + len(self.coeffs) - 1
-
     def leading_coeff(self):
         return self.coeffs[-1] if self.coeffs else 0
 
@@ -155,9 +150,6 @@ class QPoly:
         for k, c in enumerate(other.coeffs):
             cs[other.off - lo + k] += c
         return QPoly(lo, cs)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         if not self.coeffs or not other.coeffs:
@@ -475,9 +467,6 @@ class QRat:
 
     def __rsub__(self, other) -> "QRat":
         return QRat.of(other) - self
-
-    def __rtruediv__(self, other) -> "QRat":
-        return QRat.of(other) / self
 
     # -- evaluation and comparison --------------------------------------
 

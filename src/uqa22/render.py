@@ -8,7 +8,7 @@ functions as sums of tau * S-product * F-product terms.
 from __future__ import annotations
 
 from .blocks import ArgList
-from .ncalg import AbstractSymbol
+from .ncalg import TWIST_SCALE, AbstractSymbol
 from .projection import PLUS, fs_terms, weight_structure
 from .qfield import QPoly, QRat
 from .series import FactoredRational
@@ -101,21 +101,19 @@ def latex_ratio(fr: FactoredRational) -> str:
     return f"{sign}{pref}{body}" or "1"
 
 
+# the projection and the current name of each abstract symbol kind
+_LATEX_SYMBOLS = {"f+": ("P", "f"), "s+": ("P", "s"), "f-": ("P^-", "f"),
+                  "s~-": ("P^-", "\\tilde s")}
+
+
 def latex_symbol(sym) -> str:
-    var = f"z_{{{sym.var}}}"
-    if isinstance(sym, AbstractSymbol):
-        kind = sym.kind
-        if kind == "f+":
-            return f"P\\big(f({var})\\big)"
-        if kind == "s+":
-            arg = f"-q{var}" if sym.twisted else var
-            return f"P\\big(s({arg})\\big)"
-        if kind == "f-":
-            return f"P^-\\big(f({var})\\big)"
-        if kind == "s~-":
-            arg = f"-q^{{-1}}{var}" if sym.twisted else var
-            return f"P^-\\big(\\tilde s({arg})\\big)"
-    raise ValueError(f"cannot render {sym!r}")
+    if not isinstance(sym, AbstractSymbol) or sym.kind not in _LATEX_SYMBOLS:
+        raise ValueError(f"cannot render {sym!r}")
+    proj, name = _LATEX_SYMBOLS[sym.kind]
+    arg = f"z_{{{sym.var}}}"
+    if sym.twisted:
+        arg = latex_qrat(TWIST_SCALE[sym.kind]) + arg
+    return f"{proj}\\big({name}({arg})\\big)"
 
 
 def _latex_block_sum(factor: str, row, target, n, orientation) -> str:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .ncalg import ModeSymbol, iota_word, principal_degree
+from .ncalg import (ModeSymbol, _symbol_from_json, _symbol_json, iota_word,
+                    principal_degree)
 from .qfield import QRat, qnum, qpow
 from .projection import mode_expand, weight_minus_closed, weight_plus_closed
 
@@ -38,9 +39,6 @@ class TensorExpr:
         return TensorExpr({(r, l): c for (l, r), c in self.terms.items()},
                           self.order, self.window)
 
-    def coefficient(self, left, right) -> QRat:
-        return self.terms.get((tuple(left), tuple(right)), qnum(0))
-
     def sorted_terms(self):
         def key(item):
             (l, r), _ = item
@@ -52,8 +50,8 @@ class TensorExpr:
             "order": self.order,
             "window": self.window,
             "terms": [
-                {"left": [[s.family, s.index] for s in l],
-                 "right": [[s.family, s.index] for s in r],
+                {"left": [_symbol_json(s) for s in l],
+                 "right": [_symbol_json(s) for s in r],
                  "coeff": c.to_json()}
                 for (l, r), c in self.sorted_terms()
             ],
@@ -63,8 +61,8 @@ class TensorExpr:
     def from_json(cls, data) -> "TensorExpr":
         terms = {}
         for item in data["terms"]:
-            l = tuple(ModeSymbol(f, i) for f, i in item["left"])
-            r = tuple(ModeSymbol(f, i) for f, i in item["right"])
+            l = tuple(map(_symbol_from_json, item["left"]))
+            r = tuple(map(_symbol_from_json, item["right"]))
             terms[(l, r)] = QRat.from_json(item["coeff"])
         return cls(terms, data["order"], data["window"])
 

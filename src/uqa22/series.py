@@ -122,9 +122,6 @@ class ExpansionSeries:
         return ExpansionSeries(
             self.n, {a: -c for a, c in self.terms.items()}, self.validity)
 
-    def __sub__(self, other: "ExpansionSeries") -> "ExpansionSeries":
-        return self + (-other)
-
     def scale(self, c) -> "ExpansionSeries":
         c = QRat.of(c)
         if c.is_zero():
@@ -404,16 +401,6 @@ class FactoredRational:
                 continue
             acc *= base ** m
         return Fraction(0) if zero_hit else acc
-
-    def __str__(self) -> str:
-        bits = [f"({self.scalar})"]
-        if any(self.monomial):
-            bits.append("*".join(
-                f"z{i+1}^{e}" for i, e in enumerate(self.monomial) if e))
-        for u, i, v, j, m in self.factors:
-            s = f"(({u})*z{i} + ({v})*z{j})"
-            bits.append(s if m == 1 else f"{s}^{m}")
-        return " * ".join(bits)
 
     def to_json(self):
         return {

@@ -11,6 +11,7 @@ failures are data, not exceptions.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .projection import (
     admissible_pairs,
     mode_expand,
     star_projection,
+    weight_minus_closed,
     weight_plus_closed,
     weight_plus_recursive,
 )
@@ -104,9 +106,7 @@ def brute_admissible(n: int, r: int, orientation: str):
 
 # -- individual suites --------------------------------------------------------
 
-def _suite_goldens(n, depth, window, seed) -> SuiteReport:
-    depth = 8 if depth is None else depth
-    window = 6 if window is None else window
+def _suite_goldens(depth=8, window=6) -> SuiteReport:
     rep = SuiteReport("goldens", params={"depth": depth, "window": window})
     for case in goldens.golden_cases(depth=depth, window=window):
         ok, detail = case.run()
@@ -116,9 +116,7 @@ def _suite_goldens(n, depth, window, seed) -> SuiteReport:
     return rep
 
 
-def _suite_oracle(n, depth, window, seed) -> SuiteReport:
-    n = 4 if n is None else n
-    depth = 4 if depth is None else depth
+def _suite_oracle(n=4, depth=4) -> SuiteReport:
     rep = SuiteReport("oracle", params={"n": n, "depth": depth})
     for m in range(2, n + 1):
         closed = weight_plus_closed(m, depth)
@@ -146,8 +144,7 @@ def _sample_point(rng, n):
     return next(vals), [next(vals) for _ in range(n)]
 
 
-def _suite_interp(n, depth, window, seed) -> SuiteReport:
-    n = 5 if n is None else n
+def _suite_interp(seed, n=5) -> SuiteReport:
     trials = 20
     rep = SuiteReport("interp", params={"n": n, "trials": trials, "seed": seed})
     rng = random.Random(seed)
@@ -235,7 +232,7 @@ def _suite_interp(n, depth, window, seed) -> SuiteReport:
     return rep
 
 
-def _suite_kernels(n, depth, window, seed) -> SuiteReport:
+def _suite_kernels(seed) -> SuiteReport:
     rep = SuiteReport("kernels", params={"seed": seed})
     rng = random.Random(seed)
     for kind in ("alpha", "gamma"):
@@ -266,8 +263,7 @@ def _suite_kernels(n, depth, window, seed) -> SuiteReport:
     return rep
 
 
-def _suite_duality(n, depth, window, seed) -> SuiteReport:
-    window = 6 if window is None else window
+def _suite_duality(seed, window=6) -> SuiteReport:
     rep = SuiteReport("duality", params={"window": window, "seed": seed})
     rng = random.Random(seed)
     sp = star_projection(1, 4, window, "-")
@@ -303,8 +299,7 @@ def _suite_duality(n, depth, window, seed) -> SuiteReport:
     return rep
 
 
-def _suite_enumeration(n, depth, window, seed) -> SuiteReport:
-    n = 8 if n is None else n
+def _suite_enumeration(n=8) -> SuiteReport:
     _check_brute_size(n)   # before the smaller sizes run
     rep = SuiteReport("enumeration", params={"n": n})
     for size in range(1, n + 1):
@@ -321,9 +316,7 @@ def _suite_enumeration(n, depth, window, seed) -> SuiteReport:
     return rep
 
 
-def _suite_modes(n, depth, window, seed) -> SuiteReport:
-    window = 6 if window is None else window
-    depth = 4 if depth is None else depth
+def _suite_modes(window=6, depth=4) -> SuiteReport:
     if window < 2:
         raise ValueError("the modes suite compares windows w and w-1, "
                          "so --window must be at least 2")
@@ -336,7 +329,6 @@ def _suite_modes(n, depth, window, seed) -> SuiteReport:
     rep.record("single-current-positive-support",
                set(w1.coeffs) == {(ModeSymbol("f", m),)
                                   for m in range(1, window + 1)})
-    from .projection import weight_minus_closed
     m1 = mode_expand(weight_minus_closed(1, depth), window)
     rep.record("single-current-nonpositive-support",
                set(m1.coeffs) == {(ModeSymbol("f", -m),)
@@ -367,11 +359,20 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, n=None, depth=None, window=None, seed=0) -> SuiteReport:
+    """Run one suite.  Every suite accepts the seed and records it; a given
+    ``n``, ``depth`` or ``window`` that the suite does not read is an error."""
     try:
         suite = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}") \
             from None
-    rep = suite(n, depth, window, seed)
+    reads = inspect.signature(suite).parameters
+    kwargs = {"seed": seed} if "seed" in reads else {}
+    for flag, value in (("n", n), ("depth", depth), ("window", window)):
+        if value is not None:
+            if flag not in reads:
+                raise ValueError(f"suite {name!r} does not read --{flag}")
+            kwargs[flag] = value
+    rep = suite(**kwargs)
     rep.params.setdefault("seed", seed)
     return rep

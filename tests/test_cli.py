@@ -228,6 +228,16 @@ ARTIFACT_SHA256 = {
         ["rmatrix", "--order", "1", "--window", "3", "--format", "text",
          "--cartan-order", "2"],
         "5d3f26a168491369aaf960b203ded5c82c5e1e3df153b979d03995282b4abbac"),
+    # recorded before the text form of mode words moved into ncalg; the
+    # text form prints the mode expansion word by word
+    "weight-plus-modes-text": (
+        ["weight", "plus", "--n", "2", "--depth", "3", "--modes",
+         "--window", "3", "--format", "text"],
+        "080b50c105200d1652c4d89726899a9e4b692c9912014f4ce7c59617790b62cc"),
+    "weight-minus-modes-text": (
+        ["weight", "minus", "--n", "2", "--depth", "3", "--modes",
+         "--window", "3", "--format", "text"],
+        "d267ff03771ce0ac5f541f364bb6580ac735211c2493700d2299044b099967e2"),
 }
 
 
@@ -400,6 +410,8 @@ def test_canonical_json_rejects_inexact_and_unknown_values(obj):
     ("rmatrix --cartan-order -1", "--cartan-order must be at least 0"),
     ("verify --suite enumeration --n 11", "brute-force enumeration is capped at n = 10"),
     ("verify --suite modes --window 1", "--window must be at least 2"),
+    ("verify --suite kernels --n 5", "suite 'kernels' does not read --n"),
+    ("verify --suite duality --depth 9", "suite 'duality' does not read --depth"),
 ])
 def test_input_errors_exit_with_a_message(argv, message):
     with pytest.raises(SystemExit) as err:

@@ -189,3 +189,13 @@ def test_r_factor_equals_the_per_pair_coupling_reference(sign, m):
                 want[(left, wr)] = want.get((left, wr), qnum(0)) + cm * cl * cr
     want = {k: v for k, v in want.items() if not v.is_zero()}
     assert r_factor(sign, m, depth, window).terms == want
+
+
+@pytest.mark.parametrize("sign", "+-")
+@pytest.mark.parametrize("m, window", [(1, 3), (2, 3)])
+def test_r_factor_does_not_depend_on_depth_above_its_floor(sign, m, window):
+    # r_factor raises the depth to window*m(m+1)/2, and no in-window
+    # exponent has a larger ratio degree, so a deeper expansion adds nothing
+    floor = window * m * (m + 1) // 2
+    assert r_factor(sign, m, 0, window).terms \
+        == r_factor(sign, m, floor + 4, window).terms

@@ -107,6 +107,17 @@ def test_a_run_with_no_case_does_not_pass(suite):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("suite, flag", [
+    ("goldens", "n"), ("oracle", "window"), ("interp", "depth"),
+    ("interp", "window"), ("kernels", "n"), ("kernels", "depth"),
+    ("kernels", "window"), ("duality", "n"), ("duality", "depth"),
+    ("enumeration", "depth"), ("enumeration", "window"), ("modes", "n"),
+])
+def test_a_flag_the_suite_does_not_read_is_rejected(suite, flag):
+    with pytest.raises(ValueError, match=f"suite '{suite}' does not read --{flag}"):
+        run_suite(suite, **{flag: 3})
+
+
 def test_suite_size_limits_are_checked_up_front():
     with pytest.raises(ValueError, match="capped at n = 10"):
         run_suite("enumeration", n=11)
