@@ -44,6 +44,5 @@ from .rmatrix import (
     cartan_coeff,
     cartan_tensor,
     r_factor,
-    rbar_order,
 )
 from .verify import SuiteReport, brute_admissible, run_suite

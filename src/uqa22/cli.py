@@ -158,35 +158,43 @@ def _emit(args, text: str):
 
 def _cmd_weight(args) -> int:
     sign = PLUS if args.sign == "plus" else MINUS
-    if args.modes and args.format.startswith("latex"):
-        raise SystemExit(f"uqa22: --format {args.format} has no mode expansion; "
-                         "drop --modes or use --format json or text")
+    if args.format.startswith("latex"):
+        if args.modes:
+            raise SystemExit(f"uqa22: --format {args.format} has no mode "
+                             "expansion; drop --modes or use --format json or text")
+        if args.depth is not None:
+            raise SystemExit(f"uqa22: --format {args.format} is not expanded "
+                             "and reads no --depth; drop it or use --format "
+                             "json or text")
+    if args.window is not None and not args.modes:
+        raise SystemExit("uqa22: --window sets the mode expansion; add --modes "
+                         "or drop --window")
     if args.format == "latex":
         _emit(args, render.latex_weight(args.n, sign))
         return 0
     if args.format == "latex-summary":
         _emit(args, render.latex_weight_summary(args.n, sign))
         return 0
+    depth = 6 if args.depth is None else args.depth
+    window = (4 if args.window is None else args.window) if args.modes else None
 
     def compute():
         fn = weight_plus_closed if sign == PLUS else weight_minus_closed
-        w = fn(args.n, args.depth)
+        w = fn(args.n, depth)
         out = {
             "schema": f"uqa22/weight/v{SCHEMA_VERSION}",
             "sign": args.sign,
             "n": args.n,
-            "depth": args.depth,
+            "depth": depth,
             "expr": w.expr.to_json(),
         }
         if args.modes:
-            out["window"] = args.window
-            out["modes"] = mode_expand(w, args.window).to_json()
+            out["window"] = window
+            out["modes"] = mode_expand(w, window).to_json()
         return out
 
-    key = {"cmd": "weight", "sign": args.sign, "n": args.n,
-           "depth": args.depth,
-           "modes": bool(args.modes),
-           "window": args.window if args.modes else None}
+    key = {"cmd": "weight", "sign": args.sign, "n": args.n, "depth": depth,
+           "modes": bool(args.modes), "window": window}
     text = _cached(args, key, compute)
     if args.format == "text":
         data = json.loads(text)
@@ -331,10 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("weight", help="compute a weight function")
     w.add_argument("sign", choices=("plus", "minus"))
     w.add_argument("--n", type=int, required=True)
-    w.add_argument("--depth", type=int, default=6)
+    w.add_argument("--depth", type=int, help="expansion depth (default 6)")
     w.add_argument("--modes", action="store_true",
                    help="also emit the mode expansion")
-    w.add_argument("--window", type=int, default=4)
+    w.add_argument("--window", type=int,
+                   help="mode window of --modes (default 4)")
     common(w, ("json", "latex", "latex-summary", "text"))
     w.set_defaults(fn=_cmd_weight)
 

@@ -13,7 +13,10 @@ recursive evaluators share only the scalar block constructors and the
 F/S expressions built from them; their agreement is the central
 correctness check.  The closed formula of either side is built from
 ``weight_structure``, the summand list that the LaTeX emitters and the
-structure goldens also read.
+structure goldens also read.  The closed formula and the mode expansion
+are one weighted sum, ``_weighted_sum``: each product starts from its
+coefficient series and multiplies its expressions in from the left.  The
+recursions keep their own loops.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from math import prod
 
 from .blocks import ArgList, build_block, build_kernel, build_tilde_block
 from .ncalg import (
@@ -126,7 +130,6 @@ class WeightExpr:
 
     expr: NCExpr
     n: int
-    depth: int
     orientation: str
 
     def equal_up_to(self, other: "WeightExpr", bound) -> bool:
@@ -304,20 +307,29 @@ def weight_structure(n: int, orientation: str):
             for pair in admissible_pairs(n, r, orientation)]
 
 
+def _weighted_sum(n: int, terms) -> NCExpr:
+    """The sum of c * A_1 * ... * A_k over the terms (c, [A_1, ..., A_k]).
+
+    Each product starts from its coefficient series c, its shortest
+    operand, and multiplies the expressions A_i in from the left.
+    """
+    total = NCExpr.zero(n)
+    for c, factors in terms:
+        term = NCExpr(n, {(): c})
+        for a in factors:
+            term = term * a
+        total = total + term
+    return total
+
+
 def _weight_closed(n: int, depth: int, orientation: str) -> WeightExpr:
     """Sum over the summands of ``weight_structure`` of the product of
     their tau coefficients times their F and S factors."""
-    total = NCExpr.zero(n)
-    for term in weight_structure(n, orientation):
-        tau = FactoredRational(n)
-        for fr in term.tau:
-            tau = tau * fr
-        expr = NCExpr.one(n)
-        for factor, row, target in term.factors():
-            expr = expr * build_fs(factor, orientation, ArgList(row, target),
-                                   n, depth)
-        total = total + expr.scale(tau.expand(depth))
-    return WeightExpr(total, n, depth, orientation)
+    terms = ((prod(term.tau, start=FactoredRational(n)).expand(depth),
+              [build_fs(factor, orientation, ArgList(row, target), n, depth)
+               for factor, row, target in term.factors()])
+             for term in weight_structure(n, orientation))
+    return WeightExpr(_weighted_sum(n, terms), n, orientation)
 
 
 def weight_plus_closed(n: int, depth: int) -> WeightExpr:
@@ -381,7 +393,7 @@ def weight_plus_recursive(n: int, depth: int) -> WeightExpr:
         memo[key] = out
         return out
 
-    return WeightExpr(project((), tuple(range(1, n + 1))), n, depth, PLUS)
+    return WeightExpr(project((), tuple(range(1, n + 1))), n, PLUS)
 
 
 def weight_minus_recursive(n: int, depth: int) -> WeightExpr:
@@ -431,7 +443,7 @@ def weight_minus_recursive(n: int, depth: int) -> WeightExpr:
         memo[key] = out
         return out
 
-    return WeightExpr(project(tuple(range(1, n + 1)), ()), n, depth, MINUS)
+    return WeightExpr(project(tuple(range(1, n + 1)), ()), n, MINUS)
 
 
 # -- mode expansion -----------------------------------------------------------
@@ -502,24 +514,17 @@ def mode_expand(w: WeightExpr, window: int) -> NCExpr:
     if window < 1:
         raise ValueError("window must be positive")
     n = w.n
-    total = NCExpr.zero(n)
-    cache = {}
-    for word, coeff in w.expr.coeffs.items():
-        prefactor = ONE
-        tables = []
-        for sym in word:
-            entry = cache.get(sym)
-            if entry is None:
-                entry = cache[sym] = _symbol_table(sym, n, window)
-            prefactor = prefactor * entry[0]
-            tables.append(entry[1])
-        if not prefactor.is_one():
-            coeff = coeff.scale(prefactor)
-        term = NCExpr(n, {(): coeff})
-        for table in tables:
-            term = term * table
-        total = total + term
-    return total
+    tables = {sym: _symbol_table(sym, n, window) for sym in dict.fromkeys(
+        sym for word in w.expr.coeffs for sym in word)}
+
+    def terms():
+        for word, coeff in w.expr.coeffs.items():
+            prefactor = prod((tables[sym][0] for sym in word), start=ONE)
+            if not prefactor.is_one():
+                coeff = coeff.scale(prefactor)
+            yield coeff, [tables[sym][1] for sym in word]
+
+    return _weighted_sum(n, terms())
 
 
 def star_projection(n: int, depth: int, window: int, sign: str) -> NCExpr:

@@ -75,25 +75,6 @@ def _coupling() -> QRat:
     return qpow(1) - qpow(-1)
 
 
-def rbar_order(m: int, window: int) -> TensorExpr:
-    """Order-m term of the pairing tensor, restricted to the mode window.
-
-    The formal contour integral picks the coefficient of z^-1, pairing
-    each e mode with the opposite f mode.
-    """
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    if m == 0:
-        return TensorExpr({((), ()): qnum(1)}, 0, window)
-    c = _coupling() ** m / factorial(m)
-    terms = {}
-    for nvec in itertools.product(range(-window, window + 1), repeat=m):
-        left = tuple(ModeSymbol("e", k) for k in nvec)
-        right = tuple(ModeSymbol("f", -k) for k in nvec)
-        terms[(left, right)] = c
-    return TensorExpr(terms, m, window)
-
-
 def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
     """Order-m term of one R factor.
 

@@ -29,8 +29,6 @@ from .qfield import ONE, ZERO, QRat
 
 INF = math.inf
 
-ExpVec = tuple
-
 
 def ratio_degree(a) -> int:
     """d(a) = sum_i i * a_i with 1-based variable positions."""

@@ -139,9 +139,26 @@ def _solve(m, v):
     return solve_exact([list(col) for col in zip(*m)], v)
 
 
-def _sample_point(rng, n):
-    vals = _rationals(rng)
-    return next(vals), [next(vals) for _ in range(n)]
+def _first_failure(rng, trials, size, holds):
+    """The first of ``trials`` random points (q0, [z_1..z_size]) at which
+    ``holds(q0, zs)`` is false, or None.  A point at a pole is drawn again."""
+    done = 0
+    while done < trials:
+        vals = _rationals(rng)
+        q0, zs = next(vals), [next(vals) for _ in range(size)]
+        try:
+            if not holds(q0, zs):
+                return q0, zs
+        except ZeroDivisionError:
+            continue
+        done += 1
+    return None
+
+
+def _record_sampled(rep, case_id, point):
+    """Record a sampled case, with its failing point if there is one."""
+    rep.record(case_id, point is None,
+               "" if point is None else f"q0={point[0]} z={point[1]}")
 
 
 def _suite_interp(seed, n=5) -> SuiteReport:
@@ -172,18 +189,8 @@ def _suite_interp(seed, n=5) -> SuiteReport:
         return _solve(_evaluate(m, q0, zs), _evaluate(v, q0, zs))
 
     def check(size, case, fn):
-        done = 0
-        while done < trials:
-            q0, zs = _sample_point(rng, size)
-            try:
-                ok = fn(size, q0, zs)
-            except ZeroDivisionError:
-                continue
-            done += 1
-            if not ok:
-                rep.record(f"{case}/n={size}", False, f"q0={q0} z={zs}")
-                return
-        rep.record(f"{case}/n={size}", True)
+        _record_sampled(rep, f"{case}/n={size}", _first_failure(
+            rng, trials, size, functools.partial(fn, size)))
 
     def rho_identity(size, q0, zs):
         return solved(qpow(2), size, q0, zs) \
@@ -232,6 +239,15 @@ def _suite_interp(seed, n=5) -> SuiteReport:
     return rep
 
 
+def _residues_reconstruct(kind, consts, q0, zs):
+    """The kernel at 1/w0 is its value at 0 plus its pole parts."""
+    w0, = zs
+    rhs = kernel_value(kind, qnum(0)).eval(q0)
+    for c, value in consts:
+        rhs += value.eval(q0) / (w0 - c.eval(q0))
+    return kernel_value(kind, qnum(1) / qnum(w0)).eval(q0) == rhs
+
+
 def _suite_kernels(seed) -> SuiteReport:
     rep = SuiteReport("kernels", params={"seed": seed})
     rng = random.Random(seed)
@@ -241,23 +257,10 @@ def _suite_kernels(seed) -> SuiteReport:
         num = f.numerator_part().expand(0)
         den = f.denominator_part().expand(0)
         rep.record(f"{kind}(x){kind}(1/x)=1", num.terms == den.terms)
-    vals = _rationals(rng)
     for kind in ("alpha", "beta", "gamma"):
         consts = [(c, residue_constant(kind, c)) for c in kernel_poles(kind)]
-        done = 0
-        ok = True
-        while done < 5:
-            q0, w0 = next(vals), next(vals)
-            try:
-                lhs = kernel_value(kind, qnum(1) / qnum(w0)).eval(q0)
-                rhs = kernel_value(kind, qnum(0)).eval(q0)
-                for c, value in consts:
-                    rhs += value.eval(q0) / (w0 - c.eval(q0))
-            except ZeroDivisionError:
-                continue
-            done += 1
-            ok = ok and lhs == rhs
-        rep.record(f"{kind}-residue-reconstruction", ok)
+        _record_sampled(rep, f"{kind}-residue-reconstruction", _first_failure(
+            rng, 5, 1, functools.partial(_residues_reconstruct, kind, consts)))
     rep.record("beta-has-no-pole-at--q^3",
                residue_constant("beta", qpow(3, -1)).is_zero())
     return rep

@@ -294,3 +294,16 @@ def test_solve_exact_round_trip():
     x = [Fraction(5, 7), Fraction(-2, 3)]
     b = [sum(a[i][j] * x[j] for j in range(2)) for i in range(2)]
     assert solve_exact(a, b) == x
+
+
+def test_det_exact_flips_its_sign_on_a_row_swap():
+    assert det_exact([[0, 1], [1, 0]]) == -1
+
+
+def test_solve_exact_pivots_past_a_zero():
+    assert solve_exact([[0, 1], [1, 0]], [3, 5]) == [5, 3]
+
+
+def test_solve_exact_rejects_a_singular_matrix():
+    with pytest.raises(ZeroDivisionError):
+        solve_exact([[1, 2], [2, 4]], [1, 1])

@@ -238,6 +238,14 @@ ARTIFACT_SHA256 = {
         ["weight", "minus", "--n", "2", "--depth", "3", "--modes",
          "--window", "3", "--format", "text"],
         "d267ff03771ce0ac5f541f364bb6580ac735211c2493700d2299044b099967e2"),
+    # recorded before the closed formula and the mode expansion became one
+    # weighted sum that starts each product from its coefficient
+    "weight-plus-n4": (
+        ["weight", "plus", "--n", "4", "--depth", "5"],
+        "b3bfbb3cdd53dda5adbdde62d8584768f3c857775278034b0d2fb51bba18cf65"),
+    "weight-minus-n4": (
+        ["weight", "minus", "--n", "4", "--depth", "5"],
+        "2a8ffaa2dc8296f265bb941b7c0970d281fa9df867f2a36626ab6006228f6eea"),
 }
 
 
@@ -400,6 +408,10 @@ def test_canonical_json_rejects_inexact_and_unknown_values(obj):
     ("blocks rho --n 3 --row 1,,2 --k 1 --target 3", "--row must be comma-separated integers"),
     ("blocks alpha --n 2 --i 1 --j 1", "kernel arguments must involve two distinct"),
     ("blocks alpha --n 2 --i 1 --j 3", "index 3 is out of range 1..2"),
+    ("blocks rho --n 3 --row 1,2 --k 1 --target 2",
+     "distinguished index repeats the row"),
+    ("blocks alpha --n 2", "alpha needs --i and --j"),
+    ("blocks rho --n 3 --row 1,2", "needs --row, --k and --target"),
     ("blocks matrices --n 1", "need at least two variables"),
     ("blocks matrices --n 3", "matrix parameter c = 1 (--scale) makes"),
     ("blocks matrices --n 2 --scale q^2 --format latex", "matrices have no LaTeX form"),
@@ -407,6 +419,9 @@ def test_canonical_json_rejects_inexact_and_unknown_values(obj):
      "--format latex has no mode expansion"),
     ("weight plus --n 2 --format latex-summary --modes --window 3",
      "--format latex-summary has no mode expansion"),
+    ("weight plus --n 2 --window 7", "--window sets the mode expansion"),
+    ("weight plus --n 2 --format latex --depth 9",
+     "--format latex is not expanded and reads no --depth"),
     ("rmatrix --cartan-order -1", "--cartan-order must be at least 0"),
     ("verify --suite enumeration --n 11", "brute-force enumeration is capped at n = 10"),
     ("verify --suite modes --window 1", "--window must be at least 2"),

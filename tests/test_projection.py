@@ -77,6 +77,12 @@ def test_pair_validation():
         AdmissiblePair((2,), (1,), PLUS, 3)
     with pytest.raises(ValueError):
         AdmissiblePair((1, 2), (3, 4), PLUS, 4)   # J must decrease
+    for I, J, n, message in (((2, 1), (3, 4), 4, "first row must increase"),
+                             ((3,), (2,), 3, "pairing must satisfy i < j"),
+                             ((1, 2), (3,), 3, "equal length"),
+                             ((1,), (5,), 3, "out of range")):
+        with pytest.raises(ValueError, match=message):
+            AdmissiblePair(I, J, MINUS, n)
 
 
 # -- building blocks ----------------------------------------------------------

@@ -14,7 +14,6 @@ from uqa22.rmatrix import (
     cartan_coeff,
     cartan_tensor,
     r_factor,
-    rbar_order,
 )
 
 q = qpow(1)
@@ -27,22 +26,6 @@ def e(k):
 
 def f(k):
     return ModeSymbol("f", k)
-
-
-def test_rbar_order_zero():
-    assert rbar_order(0, 5).terms == {((), ()): qnum(1)}
-
-
-def test_rbar_order_one():
-    t = rbar_order(1, 3)
-    assert t.terms == {((e(k),), (f(-k),)): coupling for k in range(-3, 4)}
-
-
-def test_rbar_order_two_count():
-    t = rbar_order(2, 2)
-    assert len(t.terms) == 25
-    c = t.terms[((e(1), e(-2)), (f(-1), f(2)))]
-    assert c == coupling ** 2 / factorial(2)
 
 
 def test_r_plus_order_one():
@@ -91,13 +74,6 @@ def test_r_plus_order_two_against_recursive_path():
     want = {k: v for k, v in want.items() if not v.is_zero()}
     got = r_factor("+", 2, 4, window)
     assert got.terms == want
-
-
-def test_window_sub_consistency_order_one():
-    big = rbar_order(1, 5).terms
-    small = rbar_order(1, 3).terms
-    for key, c in small.items():
-        assert big[key] == c
 
 
 def test_cartan_c1():

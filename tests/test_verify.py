@@ -84,6 +84,21 @@ def test_interp_builds_each_matrix_and_block_once(monkeypatch):
     assert sum(key[0] == "block" for key in calls) == 24      # 4 kinds, 6 k's
 
 
+@pytest.mark.parametrize("wrong", ["alpha", "beta", "gamma"])
+def test_kernels_fails_the_kernel_whose_residue_is_wrong(wrong, monkeypatch):
+    real = verify.residue_constant
+
+    def residue_constant(kind, pole):
+        value = real(kind, pole)
+        return value * qpow(1) if kind == wrong else value
+
+    monkeypatch.setattr(verify, "residue_constant", residue_constant)
+    rep = run_suite("kernels", seed=1)
+    assert [f["case"] for f in rep.failures] \
+        == [f"{wrong}-residue-reconstruction"]
+    assert rep.failures[0]["detail"].startswith("q0=")
+
+
 def test_goldens_suite_reports_only_the_known_mismatches():
     rep = run_suite("goldens", depth=6)
     assert {f["case"] for f in rep.failures} \
