@@ -14,9 +14,12 @@ F/S expressions built from them; their agreement is the central
 correctness check.  The closed formula of either side is built from
 ``weight_structure``, the summand list that the LaTeX emitters and the
 structure goldens also read.  The closed formula and the mode expansion
-are one weighted sum, ``_weighted_sum``: each product starts from its
-coefficient series and multiplies its expressions in from the left.  The
-recursions keep their own loops.
+are one weighted sum, ``_weighted_sum``, grouped by Horner's rule over a
+trie of the factor sequences: shared prefixes on the plus side, each edge
+computing A * (sum below it), and shared suffixes on the minus side, each
+edge computing (sum below it) * A.  Every A has words of one length, so
+the per-word validity of each edge product stays sound.  The recursions
+keep their own loops.
 """
 
 from __future__ import annotations
@@ -307,19 +310,33 @@ def weight_structure(n: int, orientation: str):
             for pair in admissible_pairs(n, r, orientation)]
 
 
-def _weighted_sum(n: int, terms) -> NCExpr:
+def _weighted_sum(n: int, terms, orientation: str) -> NCExpr:
     """The sum of c * A_1 * ... * A_k over the terms (c, [A_1, ..., A_k]).
 
-    Each product starts from its coefficient series c, its shortest
-    operand, and multiplies the expressions A_i in from the left.
+    The sum is grouped by Horner's rule over a trie of the factor
+    sequences: on the plus side over shared prefixes, a node's value being
+    its c's plus A * value(child) for each child edge A; on the minus side
+    over shared suffixes, with value(child) * A.  Each edge costs one
+    product, and each c enters at its leaf, where it multiplies a single
+    factor.  Edges are keyed by identity: every caller passes one object
+    per distinct factor.  Each A has words of one length, which keeps the
+    per-word validity of the edge products sound.
     """
-    total = NCExpr.zero(n)
+    plus = orientation == PLUS
+    root = ({}, [])  # id(A) -> (A, child), and the c's that end here
     for c, factors in terms:
-        term = NCExpr(n, {(): c})
-        for a in factors:
-            term = term * a
-        total = total + term
-    return total
+        node = root
+        for a in (factors if plus else reversed(factors)):
+            node = node[0].setdefault(id(a), (a, ({}, [])))[1]
+        node[1].append(NCExpr(n, {(): c}))
+
+    def value(node) -> NCExpr:
+        total = sum(node[1], NCExpr.zero(n))
+        for a, child in node[0].values():
+            total = total + (a * value(child) if plus else value(child) * a)
+        return total
+
+    return value(root)
 
 
 def _weight_closed(n: int, depth: int, orientation: str) -> WeightExpr:
@@ -329,7 +346,7 @@ def _weight_closed(n: int, depth: int, orientation: str) -> WeightExpr:
               [build_fs(factor, orientation, ArgList(row, target), n, depth)
                for factor, row, target in term.factors()])
              for term in weight_structure(n, orientation))
-    return WeightExpr(_weighted_sum(n, terms), n, orientation)
+    return WeightExpr(_weighted_sum(n, terms, orientation), n, orientation)
 
 
 def weight_plus_closed(n: int, depth: int) -> WeightExpr:
@@ -524,7 +541,7 @@ def mode_expand(w: WeightExpr, window: int) -> NCExpr:
                 coeff = coeff.scale(prefactor)
             yield coeff, [tables[sym][1] for sym in word]
 
-    return _weighted_sum(n, terms())
+    return _weighted_sum(n, terms(), w.orientation)
 
 
 def star_projection(n: int, depth: int, window: int, sign: str) -> NCExpr:

@@ -138,6 +138,19 @@ ARTIFACT_SHA256 = {
     "rmatrix": (
         ["rmatrix", "--order", "2", "--window", "4"],
         "4d9d495c1e849aca75a4dcb3da9dfd0d162f9a9a45d081baa6818cb3946b7073"),
+    # recorded before the closed formula and the mode expansion summed over
+    # a trie of shared factors: n=4 mode words and order-3 tensors
+    "weight-plus-n4-modes": (
+        ["weight", "plus", "--n", "4", "--depth", "5", "--modes",
+         "--window", "3"],
+        "c09b31cfec10065c72447af735b2a23ef84f8738eb7f82996f7824a7c677d32c"),
+    "weight-minus-n4-modes": (
+        ["weight", "minus", "--n", "4", "--depth", "5", "--modes",
+         "--window", "3"],
+        "e9c526ef4f9fcf160b2919283e86d1b77a870ff07f02e2d8897ca113c208542e"),
+    "rmatrix-order3": (
+        ["rmatrix", "--order", "3", "--window", "2"],
+        "d08341fb0360772a3f8c7af02ab1367ced93a48fcbfd9ff2d2b494c2b24ec3b5"),
     # recorded before the interpolation blocks became one table and the
     # closed formula and LaTeX emitters one loop over weight_structure
     "blocks-rho-json": (

@@ -1,5 +1,7 @@
 """Weight functions: combinatorics, the two evaluators, mode expansion."""
 
+from math import prod
+
 import pytest
 
 from uqa22.blocks import ArgList, build_block, build_kernel
@@ -8,6 +10,7 @@ from uqa22.projection import (
     MINUS,
     PLUS,
     AdmissiblePair,
+    _weighted_sum,
     admissible_pairs,
     build_fs,
     f_row,
@@ -22,7 +25,7 @@ from uqa22.projection import (
     weight_structure,
 )
 from uqa22.qfield import qnum, qpow
-from uqa22.series import INF
+from uqa22.series import INF, ExpansionSeries, FactoredRational
 from uqa22.verify import brute_admissible
 
 q = qpow(1)
@@ -329,17 +332,66 @@ def _reference_mode_expand(w, window):
     return total
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("closed", [weight_plus_closed, weight_minus_closed])
-def test_mode_expand_equals_the_full_table_products(n, closed):
-    w = closed(n, 3)
-    got, want = mode_expand(w, 3), _reference_mode_expand(w, 3)
+def _assert_same_expr(got, want):
+    """Equal header validity, per-word series validity and terms, and
+    equal canonical JSON."""
     assert got.validity == want.validity
     assert set(got.coeffs) == set(want.coeffs)
     for word, series in want.coeffs.items():
         assert got.coeffs[word].validity == series.validity
         assert got.coeffs[word].terms == series.terms
     assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("closed", [weight_plus_closed, weight_minus_closed])
+def test_mode_expand_equals_the_full_table_products(n, closed):
+    w = closed(n, 3)
+    _assert_same_expr(mode_expand(w, 3), _reference_mode_expand(w, 3))
+
+
+# -- the trie-grouped weighted sum against a plain per-term loop --------------
+
+def _plain_weighted_sum(n, terms):
+    """Each summand c * A_1 * ... * A_k multiplied left to right on its
+    own, then summed in term order."""
+    total = NCExpr.zero(n)
+    for c, factors in terms:
+        term = NCExpr(n, {(): c})
+        for a in factors:
+            term = term * a
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("orientation", [PLUS, MINUS])
+def test_closed_formula_equals_the_plain_per_term_loop(n, orientation):
+    depth = 3
+    closed = {PLUS: weight_plus_closed, MINUS: weight_minus_closed}
+    terms = [(prod(term.tau, start=FactoredRational(n)).expand(depth),
+              [build_fs(f, orientation, ArgList(row, t), n, depth)
+               for f, row, t in term.factors()])
+             for term in weight_structure(n, orientation)]
+    _assert_same_expr(closed[orientation](n, depth).expr,
+                      _plain_weighted_sum(n, terms))
+
+
+@pytest.mark.parametrize("orientation", [PLUS, MINUS])
+def test_weighted_sum_edge_cases_equal_the_plain_loop(orientation):
+    empty = _weighted_sum(2, [], orientation)
+    assert empty.coeffs == {} and empty.validity == INF
+    a = build_fs("F", PLUS, ArgList((1,), 2), 2, 3)
+    b = build_fs("S", PLUS, ArgList((), 1), 2, 3)
+    c = build_block("rho", ArgList((1,), 2), 1, 2).expand(3)
+    d = ExpansionSeries.monomial(2, (1, -1), q)
+    zero = ExpansionSeries(2, {}, 2)
+    for terms in ([(c, [])],                      # empty factor list
+                  [(c, [a, b]), (d, [a, b])],     # one factor sequence twice
+                  [(c, [a, b]), (d, [a]), (c, [b, a])],
+                  [(zero, [a]), (d, [b])]):       # a zero coefficient
+        _assert_same_expr(_weighted_sum(2, terms, orientation),
+                          _plain_weighted_sum(2, terms))
 
 
 def test_symbol_modes_is_the_prefactor_times_the_integer_table():
