@@ -11,6 +11,7 @@ they hold literally.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -261,38 +262,49 @@ def build_matrices(c: QRat, n: int):
 
 # -- exact linear algebra over the rationals --------------------------------
 
-def _gauss_jordan(a) -> Fraction:
-    """Reduce the square block of the rows ``a`` to the identity in place,
-    pivoting on the first nonzero entry; return its determinant (0 when
-    it is singular, with the reduction left unfinished)."""
-    size = len(a)
-    det = Fraction(1)
+def _gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan elimination on the square block of
+    ``rows`` (E. H. Bareiss, Math. Comp. 22, 1968).
+
+    Each row is scaled to integers by the lcm of its denominators.
+    Pivoting on the first nonzero entry of each column, every other row
+    becomes (p * row - f * pivot_row) // prev, an exact division by the
+    previous pivot, so no gcd is taken.  Return the integer rows, whose
+    diagonal entries all equal the last pivot, and the determinant
+    sign * pivot / (product of the row scales); a singular block gives 0
+    and leaves the reduction unfinished.
+    """
+    a, scale = [], 1
+    for row in rows:
+        s = math.lcm(*(x.denominator for x in row))
+        scale *= s
+        a.append([x.numerator * (s // x.denominator) for x in row])
+    size, sign, prev = len(a), 1, 1
     for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, size) if a[r][col]), None)
         if pivot is None:
-            return Fraction(0)
+            return a, Fraction(0)
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+            sign = -sign
+        prow = a[col]
+        p = prow[col]
         for r in range(size):
-            if r != col and a[r][col]:
+            if r != col:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], prow)]
+        prev = p
+    return a, Fraction(sign * prev, scale)
 
 
 def solve_exact(matrix, rhs):
-    """Solve A x = b over Fraction entries by exact Gaussian elimination."""
-    a = [[Fraction(x) for x in row] + [Fraction(b)]
-         for row, b in zip(matrix, rhs)]
-    if not _gauss_jordan(a):
+    """Solve A x = b over int or Fraction entries, exactly."""
+    a, det = _gauss_jordan([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if not det:
         raise ZeroDivisionError("singular matrix")
-    return [r[-1] for r in a]
+    return [Fraction(r[-1], r[i]) for i, r in enumerate(a)]
 
 
 def det_exact(matrix) -> Fraction:
-    """Determinant over Fraction entries, exact."""
-    return _gauss_jordan([[Fraction(x) for x in row] for row in matrix])
+    """Determinant over int or Fraction entries, exact."""
+    return _gauss_jordan(matrix)[1]

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import count
 from math import comb
 
-from .qfield import ONE, ZERO, QRat
+from .qfield import ONE, ZERO, QRat, _as_fraction
 
 INF = math.inf
 
@@ -381,24 +381,38 @@ class FactoredRational:
         return out
 
     def eval_exact(self, q0, zvals) -> Fraction:
-        """Exact value at rational q0 and z values; raises on a pole."""
-        zs = [Fraction(z) for z in zvals]
+        """Exact value at rational q0 and z values; raises on a pole.
+
+        The value is kept as one integer numerator and denominator, which
+        the scalar at q0, each z^e and each binomial (u z_i + v z_j)^m,
+        over the common denominator of its two products, multiply into;
+        a negative exponent swaps the two.  The returned Fraction is the
+        only one formed, so a value costs one gcd.  A vanishing base with
+        m > 0 makes the value 0, but a later pole still raises.
+        """
+        zs = [_as_fraction(z) for z in zvals]
         if len(zs) != self.n:
             raise ValueError("wrong number of z values")
-        acc = self.scalar.eval(q0)
+        s = self.scalar.eval(q0)
+        num, den = s.numerator, s.denominator
         for e, z in zip(self.monomial, zs):
             if e:
-                acc *= z ** e
-        zero_hit = False
+                top, bottom = z.numerator, z.denominator
+                if e < 0:
+                    # z = 0 leaves den = 0, and the final Fraction raises
+                    top, bottom, e = bottom, top, -e
+                num, den = num * top ** e, den * bottom ** e
         for u, i, v, j, m in self.factors:
-            base = u.eval(q0) * zs[i - 1] + v.eval(q0) * zs[j - 1]
-            if base == 0:
-                if m < 0:
+            a, b, zi, zj = u.eval(q0), v.eval(q0), zs[i - 1], zs[j - 1]
+            an, ad = a.numerator * zi.numerator, a.denominator * zi.denominator
+            bn, bd = b.numerator * zj.numerator, b.denominator * zj.denominator
+            top, bottom = an * bd + bn * ad, ad * bd
+            if m < 0:
+                if not top:
                     raise ZeroDivisionError("pole hit")
-                zero_hit = True
-                continue
-            acc *= base ** m
-        return Fraction(0) if zero_hit else acc
+                top, bottom, m = bottom, top, -m
+            num, den = num * top ** m, den * bottom ** m
+        return Fraction(num, den)
 
     def to_json(self):
         return {

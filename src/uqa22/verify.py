@@ -139,26 +139,34 @@ def _solve(m, v):
     return solve_exact([list(col) for col in zip(*m)], v)
 
 
+_REDRAWS_PER_TRIAL = 10
+
+
 def _first_failure(rng, trials, size, holds):
-    """The first of ``trials`` random points (q0, [z_1..z_size]) at which
-    ``holds(q0, zs)`` is false, or None.  A point at a pole is drawn again."""
-    done = 0
+    """The failure detail of the first of ``trials`` random points
+    (q0, [z_1..z_size]) at which ``holds(q0, zs)`` is false, or None when
+    it holds at all of them.  A point at a pole is drawn again, but after
+    ``_REDRAWS_PER_TRIAL * trials`` draws in a row at a pole the case
+    fails, so that a check which raises everywhere cannot draw forever."""
+    done = misses = 0
     while done < trials:
         vals = _rationals(rng)
         q0, zs = next(vals), [next(vals) for _ in range(size)]
         try:
             if not holds(q0, zs):
-                return q0, zs
+                return f"q0={q0} z={zs}"
         except ZeroDivisionError:
+            misses += 1
+            if misses == _REDRAWS_PER_TRIAL * trials:
+                return f"no pole-free point in {misses} draws"
             continue
-        done += 1
+        done, misses = done + 1, 0
     return None
 
 
-def _record_sampled(rep, case_id, point):
-    """Record a sampled case, with its failing point if there is one."""
-    rep.record(case_id, point is None,
-               "" if point is None else f"q0={point[0]} z={point[1]}")
+def _record_sampled(rep, case_id, failure):
+    """Record a sampled case, with its failure detail if there is one."""
+    rep.record(case_id, failure is None, failure or "")
 
 
 def _suite_interp(seed, n=5) -> SuiteReport:

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rational_stream
+from uqa22 import blocks
 from uqa22.blocks import (
     ArgList,
     build_block,
@@ -307,3 +310,80 @@ def test_solve_exact_pivots_past_a_zero():
 def test_solve_exact_rejects_a_singular_matrix():
     with pytest.raises(ZeroDivisionError):
         solve_exact([[1, 2], [2, 4]], [1, 1])
+
+
+def _reference_gauss_jordan(a):
+    """Gauss-Jordan one Fraction operation at a time: reduce the square
+    block of ``a`` to the identity in place and return its determinant."""
+    size = len(a)
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(size):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+# zeros are common, so pivots are often zero and force a row swap
+_entries = st.one_of(st.sampled_from([0, 0, 1, -1, 2]),
+                     st.fractions(min_value=-9, max_value=9,
+                                  max_denominator=12))
+
+
+@st.composite
+def _systems(draw):
+    size = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(_entries, min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+    if size > 1 and draw(st.booleans()):
+        # a singular matrix: one row a combination of two others
+        i, j, k = (draw(st.integers(min_value=0, max_value=size - 1))
+                   for _ in range(3))
+        c = draw(_entries)
+        rows[k] = [x + c * y for x, y in zip(rows[i], rows[j])] \
+            if k not in (i, j) else [c * y for y in rows[j]]
+    rhs = draw(st.lists(_entries, min_size=size, max_size=size))
+    return rows, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_exact_linear_algebra_equals_the_fraction_reference(system):
+    rows, rhs = system
+    det = _reference_gauss_jordan([[Fraction(x) for x in r] for r in rows])
+    got = det_exact(rows)
+    assert got == det and type(got) is Fraction
+    if det:
+        a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+        _reference_gauss_jordan(a)
+        x = solve_exact(rows, rhs)
+        assert x == [r[-1] for r in a]
+        assert all(type(v) is Fraction for v in x)
+        # the integer rows end diagonal, every diagonal entry the last pivot
+        reduced, _ = blocks._gauss_jordan(rows)
+        pivot = reduced[-1][-1]
+        assert all(type(v) is int for r in reduced for v in r)
+        assert all(v == (pivot if c == r else 0)
+                   for r, row in enumerate(reduced) for c, v in enumerate(row))
+    else:
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            solve_exact(rows, rhs)
+
+
+def test_det_exact_of_int_and_fraction_entries():
+    assert det_exact([[2]]) == 2 and type(det_exact([[2]])) is Fraction
+    # one swap, and rows scaled by 2, 6 and 4 before elimination
+    m = [[0, 0, Fraction(1, 2)], [0, Fraction(-1, 3), Fraction(1, 6)],
+         [Fraction(3, 4), 5, -1]]
+    assert det_exact(m) == Fraction(1, 2) * Fraction(-1, 3) * Fraction(3, 4) * -1
+    assert solve_exact(m, [1, 0, 0]) == [-4, 1, 2]

@@ -290,6 +290,24 @@ def test_kernels_report_is_byte_identical(seed, tmp_path, capsys):
     assert digest == KERNELS_REPORT_SHA256[seed]
 
 
+# verify --suite interp reports, recorded before the integer evaluation of
+# FactoredRational.eval_exact and the fraction-free solve
+INTERP_REPORT_SHA256 = {
+    1: "c22a574561ab195aaf99c1cedb9add3ee1a24dff589f50bc7ac7da7ead28bacd",
+    2: "0439ba684030a238dcb35e6dcac4f43614dc58c02a9e5d294a40392ceafa129f",
+}
+
+
+@pytest.mark.parametrize("seed", list(INTERP_REPORT_SHA256))
+def test_interp_report_is_byte_identical(seed, tmp_path, capsys):
+    report = tmp_path / "rep.json"
+    code, _ = invoke(capsys, ["verify", "--suite", "interp", "--seed",
+                              str(seed), "--report", str(report)])
+    assert code == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == INTERP_REPORT_SHA256[seed]
+
+
 def test_weight_latex_contains_block_ratio(tmp_path, capsys):
     _, out = invoke(capsys, [
         "weight", "plus", "--n", "2", "--format", "latex", "--no-cache"])

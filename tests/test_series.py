@@ -332,3 +332,80 @@ def test_sum_equals_the_filtered_sum(data):
     y = y + ExpansionSeries(3, {a: -x.terms[a] for a in cancel}, y.validity)
     assert x + y == _reference_add(x, y)
     assert y + x == _reference_add(y, x)
+
+
+def _reference_eval_exact(fr, q0, zvals):
+    """FactoredRational.eval_exact written one Fraction operation per
+    factor, with the zero base tracked by a flag."""
+    zs = [Fraction(z) for z in zvals]
+    acc = fr.scalar.eval(q0)
+    for e, z in zip(fr.monomial, zs):
+        if e:
+            acc *= z ** e
+    zero_hit = False
+    for u, i, v, j, m in fr.factors:
+        base = u.eval(q0) * zs[i - 1] + v.eval(q0) * zs[j - 1]
+        if base == 0:
+            if m < 0:
+                raise ZeroDivisionError("pole hit")
+            zero_hit = True
+            continue
+        acc *= base ** m
+    return Fraction(0) if zero_hit else acc
+
+
+def _outcome(fn, *args):
+    """The value, or the ZeroDivisionError class when fn raises it."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+# small pools, so that a binomial vanishes at the point often
+_point_values = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2),
+                                 Fraction(-3, 2), Fraction(2, 3)])
+_binomial_coeffs = st.builds(qpow, st.integers(min_value=-1, max_value=1),
+                             st.sampled_from([1, -1, 2, Fraction(-1, 2)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eval_exact_equals_the_fraction_by_fraction_reference(data):
+    n = data.draw(st.integers(min_value=2, max_value=3))
+    pairs = st.tuples(st.integers(min_value=1, max_value=n),
+                      st.integers(min_value=1, max_value=n)) \
+        .filter(lambda ij: ij[0] < ij[1])
+    factors = data.draw(st.lists(
+        st.tuples(_binomial_coeffs, pairs, _binomial_coeffs,
+                  st.sampled_from([1, 2, 3, -1, -2])),
+        max_size=4))
+    fr = FactoredRational(
+        n, data.draw(st.one_of(_coeffs, _binomial_coeffs)),
+        data.draw(st.tuples(*[st.integers(min_value=-3, max_value=3)] * n)),
+        [(u, i, v, j, m) for u, (i, j), v, m in factors])
+    q0 = data.draw(_point_values)
+    zs = data.draw(st.lists(_point_values, min_size=n, max_size=n))
+    got = _outcome(fr.eval_exact, q0, zs)
+    assert got == _outcome(_reference_eval_exact, fr, q0, zs)
+    if got is not ZeroDivisionError:
+        assert type(got) is Fraction
+
+
+def test_eval_exact_zero_base_and_a_later_pole():
+    z_minus_w = (qnum(1), 1, qnum(-1), 2, 2)     # (z_1 - z_2)^2
+    pole = (qnum(1), 1, qnum(-1), 3, -1)         # (z_1 - z_3)^-1
+    scaled = (qpow(1), 2, qnum(1), 3, -3)        # (q z_2 + z_3)^-3
+    vanishing = FactoredRational(3, qpow(-1), (1, -2, 0), [z_minus_w, scaled])
+    value = vanishing.eval_exact(2, [3, 3, 5])
+    assert value == 0 and type(value) is Fraction
+    assert vanishing.eval_exact(Fraction(-1, 2), [Fraction(1, 3), -2, 7]) \
+        == _reference_eval_exact(vanishing, Fraction(-1, 2),
+                                 [Fraction(1, 3), -2, 7])
+    # the vanishing factor comes first, but the pole still raises
+    both = FactoredRational(3, 1, None, [z_minus_w, pole])
+    with pytest.raises(ZeroDivisionError, match="pole hit"):
+        both.eval_exact(2, [3, 3, 3])
+    # a z at zero under a negative exponent is a pole of the monomial
+    with pytest.raises(ZeroDivisionError):
+        vanishing.eval_exact(2, [3, 0, 5])

@@ -2,6 +2,7 @@
 
 import collections
 import json
+import random
 
 import pytest
 
@@ -97,6 +98,43 @@ def test_kernels_fails_the_kernel_whose_residue_is_wrong(wrong, monkeypatch):
     assert [f["case"] for f in rep.failures] \
         == [f"{wrong}-residue-reconstruction"]
     assert rep.failures[0]["detail"].startswith("q0=")
+
+
+def test_a_check_that_raises_at_every_point_fails_instead_of_looping():
+    calls = collections.Counter()
+
+    def holds(q0, zs):
+        calls["holds"] += 1
+        raise ZeroDivisionError("pole hit")
+
+    assert verify._first_failure(random.Random(1), 5, 2, holds) \
+        == "no pole-free point in 50 draws"
+    assert calls["holds"] == 50
+
+
+def test_a_pole_between_good_points_is_drawn_again():
+    calls = collections.Counter()
+
+    def holds(q0, zs):
+        calls["holds"] += 1
+        if calls["holds"] % 3 == 0:
+            raise ZeroDivisionError("pole hit")
+        return True
+
+    # 30 good points, with a pole after every second one
+    assert verify._first_failure(random.Random(1), 30, 1, holds) is None
+    assert calls["holds"] == 44
+
+
+def test_kernels_fails_every_residue_case_when_each_point_is_a_pole(monkeypatch):
+    def kernel_value(kind, x):
+        raise ZeroDivisionError("pole at every point")
+
+    monkeypatch.setattr(verify, "kernel_value", kernel_value)
+    rep = run_suite("kernels", seed=1)
+    assert [(f["case"], f["detail"]) for f in rep.failures] == [
+        (f"{kind}-residue-reconstruction", "no pole-free point in 50 draws")
+        for kind in ("alpha", "beta", "gamma")]
 
 
 def test_goldens_suite_reports_only_the_known_mismatches():
