@@ -38,7 +38,6 @@ from .projection import (
     weight_structure,
 )
 from .rmatrix import (
-    CartanCoeff,
     TensorExpr,
     assemble_R,
     cartan_coeff,

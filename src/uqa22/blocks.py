@@ -177,7 +177,7 @@ SCALES = {"1": ONE, "-q": qpow(1, -1), "-q^-1": qpow(-1, -1), "q": _Q,
 def kernel_value(kind: str, x: QRat) -> QRat:
     """Evaluate a kernel at an explicit element of Q(q)."""
     num_atoms, den_atoms = _KERNELS[kind]
-    out = QRat.of(1)
+    out = qnum(1)
     for a, b in num_atoms:
         out = out * (a + b * x)
     for a, b in den_atoms:
@@ -191,7 +191,7 @@ def build_kernel(kind: str, num_scale: QRat, i: int, j: int, n: int) -> Factored
         raise ValueError("kernel arguments must involve two distinct variables")
     if kind not in _KERNELS:
         raise ValueError(f"unknown kernel {kind!r}")
-    c = QRat.of(num_scale)
+    c = qnum(num_scale)
     num_atoms, den_atoms = _KERNELS[kind]
     fs = [(b * c, i, a, j, 1) for a, b in num_atoms]
     fs += [(b * c, i, a, j, -1) for a, b in den_atoms]
@@ -212,7 +212,7 @@ def residue_constant(kind: str, pole: QRat) -> QRat:
     kernel without that pole gets the constant 0.
     """
     num_atoms, den_atoms = _KERNELS[kind]
-    c = QRat.of(pole)
+    c = qnum(pole)
     x0 = c.inv()
     hit = None
     rest = []
@@ -222,7 +222,7 @@ def residue_constant(kind: str, pole: QRat) -> QRat:
         else:
             rest.append((a, b))
     if hit is None:
-        return QRat.of(0)
+        return qnum(0)
     value = MINUS_ONE * c * c / hit[1]
     for a, b in num_atoms:
         value = value * (a + b * x0)
@@ -243,7 +243,7 @@ def build_matrices(c: QRat, n: int):
     """
     if n < 2:
         raise ValueError("need at least two variables")
-    c = QRat.of(c)
+    c = qnum(c)
     if c.is_one():
         raise ValueError("matrix parameter c = 1 (--scale) makes the "
                          "diagonal 1/(1 - c^-1) singular")

@@ -25,13 +25,7 @@ from . import __version__, render
 from .blocks import (SCALES, ArgList, build_block, build_kernel, build_matrices,
                      build_tilde_block)
 from .ncalg import NCExpr, _symbol_str
-from .projection import (
-    MINUS,
-    PLUS,
-    mode_expand,
-    weight_minus_closed,
-    weight_plus_closed,
-)
+from .projection import PLUS, mode_expand, weight_minus_closed, weight_plus_closed
 from .rmatrix import TensorExpr, assemble_R, cartan_coeff
 from .verify import SUITE_NAMES, run_suite
 
@@ -81,7 +75,7 @@ def _canonical_json(obj) -> str:
 
 
 def _cache_dir(args) -> Path | None:
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
     if args.cache_dir:
         return Path(args.cache_dir)
@@ -157,7 +151,6 @@ def _emit(args, text: str):
 
 
 def _cmd_weight(args) -> int:
-    sign = PLUS if args.sign == "plus" else MINUS
     if args.format.startswith("latex"):
         if args.modes:
             raise SystemExit(f"uqa22: --format {args.format} has no mode "
@@ -170,16 +163,16 @@ def _cmd_weight(args) -> int:
         raise SystemExit("uqa22: --window sets the mode expansion; add --modes "
                          "or drop --window")
     if args.format == "latex":
-        _emit(args, render.latex_weight(args.n, sign))
+        _emit(args, render.latex_weight(args.n, args.sign))
         return 0
     if args.format == "latex-summary":
-        _emit(args, render.latex_weight_summary(args.n, sign))
+        _emit(args, render.latex_weight_summary(args.n, args.sign))
         return 0
     depth = 6 if args.depth is None else args.depth
     window = (4 if args.window is None else args.window) if args.modes else None
 
     def compute():
-        fn = weight_plus_closed if sign == PLUS else weight_minus_closed
+        fn = weight_plus_closed if args.sign == PLUS else weight_minus_closed
         w = fn(args.n, depth)
         out = {
             "schema": f"uqa22/weight/v{SCHEMA_VERSION}",
@@ -225,7 +218,7 @@ def _cmd_rmatrix(args) -> int:
                 {"name": "r_minus", "tensor": factors[3].to_json()},
             ],
             "cartan_coeffs": [
-                [k, cartan_coeff(k).value.to_json()]
+                [k, cartan_coeff(k).to_json()]
                 for k in range(1, args.window + 1)
             ],
         }
@@ -253,7 +246,7 @@ def _cmd_rmatrix(args) -> int:
     return 0
 
 
-def _parse_row(text: str):
+def _parse_row(text: str | None):
     try:
         return tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
@@ -268,18 +261,25 @@ def _check_indices(n: int, *indices):
 
 def _cmd_blocks(args) -> int:
     kind = args.kind
-    if kind in ("alpha", "beta", "gamma"):
+    kernel = kind in ("alpha", "beta", "gamma")
+    reads = (("i", "j", "scale") if kernel else ("scale",)
+             if kind == "matrices" else ("row", "k", "target"))
+    for flag in ("row", "k", "target", "i", "j", "scale"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise SystemExit(f"uqa22: blocks {kind} does not read --{flag}")
+    scale = "1" if args.scale is None else args.scale
+    if kernel:
         if args.i is None or args.j is None:
             raise SystemExit(f"uqa22: {kind} needs --i and --j")
         _check_indices(args.n, args.i, args.j)
-        fr = build_kernel(kind, SCALES[args.scale], args.i, args.j, args.n)
+        fr = build_kernel(kind, SCALES[scale], args.i, args.j, args.n)
     elif kind == "matrices":
         if args.format == "latex":
             raise SystemExit("uqa22: matrices have no LaTeX form; use --format json")
-        m, v, w = build_matrices(SCALES[args.scale], args.n)
+        m, v, w = build_matrices(SCALES[scale], args.n)
         out = {
             "schema": f"uqa22/matrices/v{SCHEMA_VERSION}",
-            "c": args.scale,
+            "c": scale,
             "n": args.n,
             "M": [[e.to_json() for e in row] for row in m],
             "V": [e.to_json() for e in v],
@@ -327,12 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "twisted quantum affine algebra of type A2(2).")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_choices):
+    def common(sp, fmt_choices, cached=True):
         sp.add_argument("--out", help="write the artifact to this path")
-        sp.add_argument("--cache-dir", help="cache directory "
-                        "(default: $UQA22_CACHE_DIR or ~/.cache/uqa22)")
-        sp.add_argument("--no-cache", action="store_true",
-                        help="bypass the artifact cache")
+        if cached:
+            sp.add_argument("--cache-dir", help="cache directory "
+                            "(default: $UQA22_CACHE_DIR or ~/.cache/uqa22)")
+            sp.add_argument("--no-cache", action="store_true",
+                            help="bypass the artifact cache")
         sp.add_argument("--format", choices=fmt_choices,
                         default=fmt_choices[0])
 
@@ -361,14 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
         "rho-tilde", "lambda-tilde", "mu-tilde", "nu-tilde",
         "alpha", "beta", "gamma", "matrices"))
     b.add_argument("--n", type=int, required=True)
-    b.add_argument("--row", default="", help="comma-separated row indices")
+    b.add_argument("--row", help="comma-separated row indices")
     b.add_argument("--k", type=int, help="distinguished row index")
     b.add_argument("--target", type=int)
     b.add_argument("--i", type=int, help="kernel numerator variable")
     b.add_argument("--j", type=int, help="kernel denominator variable")
-    b.add_argument("--scale", default="1", choices=tuple(SCALES),
-                   help="kernel argument scale or matrix parameter c")
-    common(b, ("json", "latex"))
+    b.add_argument("--scale", choices=tuple(SCALES),
+                   help="kernel argument scale or matrix parameter c "
+                        "(default 1)")
+    common(b, ("json", "latex"), cached=False)
     b.set_defaults(fn=_cmd_blocks)
 
     v = sub.add_parser("verify", help="run a verification suite")

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .blocks import SCALES, ArgList, build_block, build_kernel
-from .ncalg import mode
+from .ncalg import PS_PLUS, abstract, mode
 from .projection import (
     PLUS,
     AdmissiblePair,
     f_row,
     tau_factored,
+    symbol_modes,
     weight_structure,
-    _ps_plus_modes,
 )
 from .qfield import QPoly, QRat, qnum
 from .series import FactoredRational
@@ -144,7 +144,7 @@ def _mode_case(data, window: int) -> GoldenCase:
     pref = _qrat(data["prefactor_num"], data["prefactor_den"])
 
     def run():
-        ps = _ps_plus_modes(1, 1, window, False)
+        ps = symbol_modes(abstract(PS_PLUS, 1), 1, window)
         for m in range(1, window + 1):
             want = {}
             for shape in shapes:

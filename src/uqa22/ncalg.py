@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qfield import QRat, qpow
+from .qfield import qnum, qpow
 from .series import INF, ExpansionSeries
 
 MODE_FAMILIES = ("e", "f", "a")
@@ -205,7 +205,7 @@ class NCExpr:
         """Multiply every coefficient by a series or a Q(q) scalar."""
         if isinstance(s, ExpansionSeries):
             return self * NCExpr(self.n, {(): s})
-        c = QRat.of(s)
+        c = qnum(s)
         return NCExpr(self.n, {w: t.scale(c) for w, t in self.coeffs.items()},
                       self.validity)
 

@@ -40,7 +40,7 @@ from .ncalg import (
     NCExpr,
     abstract,
 )
-from .qfield import ONE, QRat, _factor_exponents, qnum, qpow
+from .qfield import ONE, _factor_exponents, qnum, qpow
 from .series import ExpansionSeries, FactoredRational, unit_vec
 
 PLUS = "plus"
@@ -132,7 +132,6 @@ class WeightExpr:
     """A weight-function value: abstract-symbol expression plus context."""
 
     expr: NCExpr
-    n: int
     orientation: str
 
     def equal_up_to(self, other: "WeightExpr", bound) -> bool:
@@ -346,7 +345,7 @@ def _weight_closed(n: int, depth: int, orientation: str) -> WeightExpr:
               [build_fs(factor, orientation, ArgList(row, target), n, depth)
                for factor, row, target in term.factors()])
              for term in weight_structure(n, orientation))
-    return WeightExpr(_weighted_sum(n, terms, orientation), n, orientation)
+    return WeightExpr(_weighted_sum(n, terms, orientation), orientation)
 
 
 def weight_plus_closed(n: int, depth: int) -> WeightExpr:
@@ -410,7 +409,7 @@ def weight_plus_recursive(n: int, depth: int) -> WeightExpr:
         memo[key] = out
         return out
 
-    return WeightExpr(project((), tuple(range(1, n + 1))), n, PLUS)
+    return WeightExpr(project((), tuple(range(1, n + 1))), PLUS)
 
 
 def weight_minus_recursive(n: int, depth: int) -> WeightExpr:
@@ -460,7 +459,7 @@ def weight_minus_recursive(n: int, depth: int) -> WeightExpr:
         memo[key] = out
         return out
 
-    return WeightExpr(project(tuple(range(1, n + 1)), ()), n, MINUS)
+    return WeightExpr(project(tuple(range(1, n + 1)), ()), MINUS)
 
 
 # -- mode expansion -----------------------------------------------------------
@@ -503,15 +502,11 @@ def _symbol_table(sym, n: int, window: int):
         for word, c in rows(m):
             by_exp = acc.setdefault(tuple(ModeSymbol("f", x) for x in word), {})
             c = c if twist is None else c * twist ** (-m)
-            by_exp[-m] = by_exp.get(-m, QRat.of(0)) + c
+            by_exp[-m] = by_exp.get(-m, qnum(0)) + c
     return prefactor, NCExpr(n, {
         word: ExpansionSeries(n, {unit_vec(n, sym.var, e): c
                                   for e, c in by_exp.items() if not c.is_zero()})
         for word, by_exp in acc.items()})
-
-
-def _ps_plus_modes(i: int, n: int, window: int, twisted: bool) -> NCExpr:
-    return symbol_modes(abstract(PS_PLUS, i, twisted), n, window)
 
 
 def symbol_modes(sym, n: int, window: int) -> NCExpr:
@@ -530,7 +525,7 @@ def mode_expand(w: WeightExpr, window: int) -> NCExpr:
     """
     if window < 1:
         raise ValueError("window must be positive")
-    n = w.n
+    n = w.expr.n
     tables = {sym: _symbol_table(sym, n, window) for sym in dict.fromkeys(
         sym for word in w.expr.coeffs for sym in word)}
 

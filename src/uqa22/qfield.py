@@ -378,14 +378,6 @@ class QRat:
             return QPoly(vn, a), QPoly.one()
         return QPoly(vn, a), QPoly(0, b)
 
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def of(cls, value) -> "QRat":
-        if isinstance(value, QRat):
-            return value
-        return cls(value)
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -406,7 +398,7 @@ class QRat:
     # -- field arithmetic ----------------------------------------------
 
     def __add__(self, other) -> "QRat":
-        other = QRat.of(other)
+        other = qnum(other)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -419,14 +411,14 @@ class QRat:
                     self.den * other.den)
 
     def __sub__(self, other) -> "QRat":
-        return self + (-QRat.of(other))
+        return self + (-qnum(other))
 
     def __neg__(self) -> "QRat":
         return QRat(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other) -> "QRat":
         if type(other) is not QRat:
-            other = QRat.of(other)
+            other = qnum(other)
         num, onum = self.num, other.num
         if not num.coeffs or not onum.coeffs:
             return QRat()
@@ -446,7 +438,7 @@ class QRat:
         return QRat(num * onum, self.den * other.den)
 
     def __truediv__(self, other) -> "QRat":
-        return self * QRat.of(other).inv()
+        return self * qnum(other).inv()
 
     def inv(self) -> "QRat":
         if self.is_zero():
@@ -466,7 +458,7 @@ class QRat:
     __rmul__ = __mul__
 
     def __rsub__(self, other) -> "QRat":
-        return QRat.of(other) - self
+        return qnum(other) - self
 
     # -- evaluation and comparison --------------------------------------
 
@@ -482,7 +474,7 @@ class QRat:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = QRat.of(other)
+            other = qnum(other)
         return (
             isinstance(other, QRat)
             and self.num == other.num
@@ -525,4 +517,4 @@ def qpow(e: int, c=1) -> QRat:
 
 def qnum(c) -> QRat:
     """Embed an integer or Fraction into Q(q)."""
-    return QRat.of(c)
+    return c if isinstance(c, QRat) else QRat(c)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .blocks import ArgList
 from .ncalg import TWIST_SCALE, AbstractSymbol
 from .projection import PLUS, fs_terms, weight_structure
-from .qfield import QPoly, QRat
+from .qfield import QPoly, QRat, qnum
 from .series import FactoredRational
 
 
@@ -78,7 +78,7 @@ def latex_ratio(fr: FactoredRational) -> str:
         lead = u.as_monomial()
         if lead is not None and lead[1] < 0:
             u, v = -u, -v
-            scalar = scalar * QRat.of(-1) ** m
+            scalar = scalar * qnum(-1) ** m
         atom = _latex_atom(u, i, v, j)
         if m > 0:
             num_atoms += [f"({atom})"] * m
@@ -92,8 +92,8 @@ def latex_ratio(fr: FactoredRational) -> str:
     num = "".join(num_atoms) or "1"
     den = "".join(den_atoms)
     sign = ""
-    if scalar == QRat.of(-1):
-        sign, scalar = "-", QRat.of(1)
+    if scalar == qnum(-1):
+        sign, scalar = "-", qnum(1)
     pref = "" if scalar.is_one() else latex_qrat(scalar, wrap_sum=True)
     if den:
         return f"{sign}{pref}\\frac{{{num}}}{{{den}}}"

@@ -120,19 +120,13 @@ def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
                       m, window)
 
 
-@dataclass(frozen=True)
-class CartanCoeff:
-    n: int
-    value: QRat
-
-
-def cartan_coeff(n: int) -> CartanCoeff:
+def cartan_coeff(n: int) -> QRat:
     """Coefficient of a_{-n} (x) a_n in the Cartan tensor exponent."""
     if n <= 0:
         raise ValueError("mode index must be positive")
     num = (_coupling() ** 2) * qnum(n)
     den = (qpow(n) - qpow(-n)) * (qpow(n) + qnum((-1) ** (n + 1)) + qpow(-n))
-    return CartanCoeff(n, num / den)
+    return num / den
 
 
 def cartan_tensor(cutoff: int, order: int = 1) -> TensorExpr:
@@ -145,7 +139,7 @@ def cartan_tensor(cutoff: int, order: int = 1) -> TensorExpr:
         raise ValueError("cutoff must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = {k: cartan_coeff(k).value for k in range(1, cutoff + 1)}
+    coeffs = {k: cartan_coeff(k) for k in range(1, cutoff + 1)}
     terms = {((), ()): qnum(1)}
     for o in range(1, order + 1):
         c0 = qnum(1) / factorial(o)

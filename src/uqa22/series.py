@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import count
 from math import comb
 
-from .qfield import ONE, ZERO, QRat, _as_fraction
+from .qfield import ONE, ZERO, QRat, _as_fraction, qnum
 
 INF = math.inf
 
@@ -71,7 +71,7 @@ class ExpansionSeries:
 
     @classmethod
     def monomial(cls, n: int, a, coeff=ONE) -> "ExpansionSeries":
-        return cls(n, {tuple(a): QRat.of(coeff)}, INF)
+        return cls(n, {tuple(a): qnum(coeff)}, INF)
 
     # -- introspection ----------------------------------------------------
 
@@ -121,7 +121,7 @@ class ExpansionSeries:
             self.n, {a: -c for a, c in self.terms.items()}, self.validity)
 
     def scale(self, c) -> "ExpansionSeries":
-        c = QRat.of(c)
+        c = qnum(c)
         if c.is_zero():
             return ExpansionSeries(self.n, {}, self.validity)
         return ExpansionSeries(
@@ -170,7 +170,7 @@ class ExpansionSeries:
 
     def substitute_scale(self, i: int, c) -> "ExpansionSeries":
         """Replace z_i by c*z_i for a nonzero monomial c in q (times +-1)."""
-        c = QRat.of(c)
+        c = qnum(c)
         if c.is_zero():
             raise ValueError("substitution scale must be nonzero")
         if c.as_monomial() is None:
@@ -246,19 +246,17 @@ class FactoredRational:
 
     def __init__(self, n: int, scalar=ONE, monomial=None, factors=()):
         self.n = n
-        scalar = QRat.of(scalar)
+        scalar = qnum(scalar)
         mono = list(monomial) if monomial is not None else [0] * n
         if len(mono) != n:
             raise ValueError("monomial length must equal the variable count")
         kept = []
         for u, i, v, j, m in factors:
-            u, v = QRat.of(u), QRat.of(v)
-            if m == 0:
-                continue
-            if scalar.is_zero():
-                break
+            u, v = qnum(u), qnum(v)
             if not (1 <= i <= n) or not (1 <= j <= n):
                 raise ValueError("factor variable index out of range")
+            if m == 0:
+                continue
             if i == j or u.is_zero() or v.is_zero():
                 # the binomial is (u+v) times z_i, or z_j when u is zero;
                 # a zero base makes the value zero, or a pole when m < 0
@@ -313,7 +311,7 @@ class FactoredRational:
             tuple((u, i, v, j, -m) for u, i, v, j, m in self.factors))
 
     def scale(self, c) -> "FactoredRational":
-        return FactoredRational(self.n, self.scalar * QRat.of(c),
+        return FactoredRational(self.n, self.scalar * qnum(c),
                                 self.monomial, self.factors)
 
     def numerator_part(self) -> "FactoredRational":

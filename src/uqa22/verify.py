@@ -107,7 +107,7 @@ def brute_admissible(n: int, r: int, orientation: str):
 # -- individual suites --------------------------------------------------------
 
 def _suite_goldens(depth=8, window=6) -> SuiteReport:
-    rep = SuiteReport("goldens", params={"depth": depth, "window": window})
+    rep = SuiteReport("goldens")
     for case in goldens.golden_cases(depth=depth, window=window):
         ok, detail = case.run()
         if not ok and not case.consistent:
@@ -117,7 +117,7 @@ def _suite_goldens(depth=8, window=6) -> SuiteReport:
 
 
 def _suite_oracle(n=4, depth=4) -> SuiteReport:
-    rep = SuiteReport("oracle", params={"n": n, "depth": depth})
+    rep = SuiteReport("oracle")
     for m in range(2, n + 1):
         closed = weight_plus_closed(m, depth)
         recursive = weight_plus_recursive(m, depth)
@@ -171,7 +171,7 @@ def _record_sampled(rep, case_id, failure):
 
 def _suite_interp(seed, n=5) -> SuiteReport:
     trials = 20
-    rep = SuiteReport("interp", params={"n": n, "trials": trials, "seed": seed})
+    rep = SuiteReport("interp", params={"trials": trials})
     rng = random.Random(seed)
     # every factored matrix and block is built once per run, and each
     # identity evaluates exactly the quantities it compares, so that a
@@ -257,7 +257,7 @@ def _residues_reconstruct(kind, consts, q0, zs):
 
 
 def _suite_kernels(seed) -> SuiteReport:
-    rep = SuiteReport("kernels", params={"seed": seed})
+    rep = SuiteReport("kernels")
     rng = random.Random(seed)
     for kind in ("alpha", "gamma"):
         f = build_kernel(kind, qnum(1), 1, 2, 2) \
@@ -275,7 +275,7 @@ def _suite_kernels(seed) -> SuiteReport:
 
 
 def _suite_duality(seed, window=6) -> SuiteReport:
-    rep = SuiteReport("duality", params={"window": window, "seed": seed})
+    rep = SuiteReport("duality")
     rng = random.Random(seed)
     sp = star_projection(1, 4, window, "-")
     want = {(ModeSymbol("e", -m),) for m in range(1, window + 1)}
@@ -312,7 +312,7 @@ def _suite_duality(seed, window=6) -> SuiteReport:
 
 def _suite_enumeration(n=8) -> SuiteReport:
     _check_brute_size(n)   # before the smaller sizes run
-    rep = SuiteReport("enumeration", params={"n": n})
+    rep = SuiteReport("enumeration")
     for size in range(1, n + 1):
         for orientation in (PLUS, MINUS):
             for r in range(size // 2 + 1):
@@ -331,7 +331,7 @@ def _suite_modes(window=6, depth=4) -> SuiteReport:
     if window < 2:
         raise ValueError("the modes suite compares windows w and w-1, "
                          "so --window must be at least 2")
-    rep = SuiteReport("modes", params={"window": window, "depth": depth})
+    rep = SuiteReport("modes")
     for case in goldens.golden_cases(depth=4, window=window):
         if case.kind == "mode":
             ok, detail = case.run()
@@ -370,20 +370,23 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, n=None, depth=None, window=None, seed=0) -> SuiteReport:
-    """Run one suite.  Every suite accepts the seed and records it; a given
-    ``n``, ``depth`` or ``window`` that the suite does not read is an error."""
+    """Run one suite.  The report's params record every argument the suite
+    ran with, defaults included, and the seed; a given ``n``, ``depth`` or
+    ``window`` that the suite does not read is an error."""
     try:
         suite = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}") \
             from None
-    reads = inspect.signature(suite).parameters
-    kwargs = {"seed": seed} if "seed" in reads else {}
+    signature = inspect.signature(suite)
+    kwargs = {"seed": seed} if "seed" in signature.parameters else {}
     for flag, value in (("n", n), ("depth", depth), ("window", window)):
         if value is not None:
-            if flag not in reads:
+            if flag not in signature.parameters:
                 raise ValueError(f"suite {name!r} does not read --{flag}")
             kwargs[flag] = value
     rep = suite(**kwargs)
-    rep.params.setdefault("seed", seed)
+    bound = signature.bind(**kwargs)
+    bound.apply_defaults()
+    rep.params.update(bound.arguments, seed=seed)
     return rep

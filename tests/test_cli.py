@@ -123,6 +123,27 @@ def test_cache_entry_with_foreign_schema_is_recomputed(tmp_path, capsys):
     assert entry.read_text() == first
 
 
+@pytest.mark.parametrize("env, flag, where", [
+    (True, False, "env"),
+    (False, False, "home/.cache/uqa22"),
+    (True, True, "flag"),
+], ids=["environment", "home", "flag-over-environment"])
+def test_cache_directory_resolution(env, flag, where, tmp_path, capsys,
+                                    monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    if env:
+        monkeypatch.setenv("UQA22_CACHE_DIR", str(tmp_path / "env"))
+    else:
+        monkeypatch.delenv("UQA22_CACHE_DIR", raising=False)
+    args = ["weight", "plus", "--n", "1", "--depth", "2"]
+    if flag:
+        args += ["--cache-dir", str(tmp_path / "flag")]
+    invoke(capsys, args)
+    entries = [p.parent.relative_to(tmp_path).as_posix()
+               for p in tmp_path.rglob("*.json")]
+    assert entries == [where]
+
+
 # sha256 of the canonical JSON artifacts, recorded from the engine before
 # the integer coefficient ring; any change to these bytes is a regression
 # or a deliberate format change.
@@ -265,7 +286,9 @@ ARTIFACT_SHA256 = {
 @pytest.mark.parametrize("case", list(ARTIFACT_SHA256))
 def test_artifacts_are_byte_identical(case, capsys):
     args, digest = ARTIFACT_SHA256[case]
-    _, out = invoke(capsys, [*args, "--no-cache"])
+    if args[0] in ("weight", "rmatrix"):
+        args = [*args, "--no-cache"]
+    _, out = invoke(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -446,6 +469,10 @@ def test_canonical_json_rejects_inexact_and_unknown_values(obj):
     ("blocks matrices --n 1", "need at least two variables"),
     ("blocks matrices --n 3", "matrix parameter c = 1 (--scale) makes"),
     ("blocks matrices --n 2 --scale q^2 --format latex", "matrices have no LaTeX form"),
+    ("blocks rho --n 3 --row 1,2 --k 1 --target 3 --scale q^2",
+     "blocks rho does not read --scale"),
+    ("blocks alpha --n 2 --i 1 --j 2 --k 1", "blocks alpha does not read --k"),
+    ("blocks matrices --n 3 --scale q^2 --i 1", "blocks matrices does not read --i"),
     ("weight plus --n 2 --format latex --modes --window 3",
      "--format latex has no mode expansion"),
     ("weight plus --n 2 --format latex-summary --modes --window 3",

@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from uqa22.blocks import ArgList, build_block, build_kernel
-from uqa22.ncalg import NCExpr, abstract, iota_word, mode
+from uqa22.ncalg import PS_PLUS, NCExpr, abstract, iota_word, mode
 from uqa22.projection import (
     MINUS,
     PLUS,
@@ -16,6 +16,7 @@ from uqa22.projection import (
     f_row,
     mode_expand,
     star_projection,
+    symbol_modes,
     tau_factored,
     tau_row,
     weight_minus_closed,
@@ -246,8 +247,7 @@ def test_mode_expand_minus_single_current():
 
 
 def test_mode_expand_composite_coefficient():
-    from uqa22.projection import _ps_plus_modes
-    ps = _ps_plus_modes(1, 1, 6, False)
+    ps = symbol_modes(abstract(PS_PLUS, 1), 1, 6)
     pref = qnum(-1) / (q + qpow(-2))
     got = ps.coefficient((mode("f", 1), mode("f", 0))).coefficient((-1,))
     assert got == pref * (q + 1)
@@ -256,9 +256,8 @@ def test_mode_expand_composite_coefficient():
 
 
 def test_mode_expand_twisted_symbol_uses_scaled_argument():
-    from uqa22.projection import _ps_plus_modes
-    plain = _ps_plus_modes(1, 1, 5, False)
-    twisted = _ps_plus_modes(1, 1, 5, True)
+    plain = symbol_modes(abstract(PS_PLUS, 1), 1, 5)
+    twisted = symbol_modes(abstract(PS_PLUS, 1, True), 1, 5)
     for word, series in plain.coeffs.items():
         tw = twisted.coefficient(word)
         assert tw.terms == series.substitute_scale(1, qpow(1, -1)).terms
@@ -322,12 +321,11 @@ def test_star_projection_n2_is_the_involution_of_the_mode_table():
 def _reference_mode_expand(w, window):
     """The expansion with each symbol's prefactor-scaled table, multiplied
     in word order and summed in coefficient order, as before the split."""
-    from uqa22.projection import symbol_modes
-    total = NCExpr.zero(w.n)
+    total = NCExpr.zero(w.expr.n)
     for word, coeff in w.expr.coeffs.items():
-        term = NCExpr(w.n, {(): coeff})
+        term = NCExpr(w.expr.n, {(): coeff})
         for sym in word:
-            term = term * symbol_modes(sym, w.n, window)
+            term = term * symbol_modes(sym, w.expr.n, window)
         total = total + term
     return total
 
@@ -395,8 +393,8 @@ def test_weighted_sum_edge_cases_equal_the_plain_loop(orientation):
 
 
 def test_symbol_modes_is_the_prefactor_times_the_integer_table():
-    from uqa22.projection import _symbol_table, symbol_modes
-    from uqa22.ncalg import PF_MINUS, PF_PLUS, PS_PLUS, PS_TILDE_MINUS
+    from uqa22.projection import _symbol_table
+    from uqa22.ncalg import PF_MINUS, PF_PLUS, PS_TILDE_MINUS
     for sym in (abstract(PF_PLUS, 2), abstract(PF_MINUS, 1),
                 abstract(PS_PLUS, 1), abstract(PS_PLUS, 2, True),
                 abstract(PS_TILDE_MINUS, 1), abstract(PS_TILDE_MINUS, 2, True)):

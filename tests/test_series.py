@@ -252,6 +252,26 @@ def test_zero_base_in_the_denominator_raises(factor):
         FactoredRational(2, 1, None, [factor])
 
 
+@pytest.mark.parametrize("factors", [
+    [(1, 1, -1, 1, 1), (1, 1, -1, 1, -1)],
+    [(1, 1, -1, 1, -1), (1, 1, -1, 1, 1)],
+], ids=["zero-first", "pole-first"])
+def test_a_zero_base_pole_raises_in_either_factor_order(factors):
+    with pytest.raises(ZeroDivisionError, match="zero base"):
+        FactoredRational(2, 1, None, factors)
+
+
+def test_an_index_out_of_range_raises_even_at_exponent_zero():
+    with pytest.raises(ValueError, match="index out of range"):
+        FactoredRational(2, 1, None, [(1, 5, 1, 7, 0)])
+
+
+def test_a_zero_scalar_with_ordinary_factors_is_zero():
+    fr = FactoredRational(3, 0, (1, 0, 0), [(1, 1, qpow(1), 2, -1),
+                                            (qpow(2), 2, 1, 3, 2)])
+    assert fr.is_zero() and fr.factors == () and fr.monomial == (0, 0, 0)
+
+
 def test_validity_of_products():
     rng = random.Random(5)
     seen_truncated = False
