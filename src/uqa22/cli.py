@@ -159,6 +159,11 @@ def _cmd_weight(args) -> int:
             raise SystemExit(f"uqa22: --format {args.format} is not expanded "
                              "and reads no --depth; drop it or use --format "
                              "json or text")
+        for flag in ("cache_dir", "no_cache"):
+            if getattr(args, flag):
+                raise SystemExit(f"uqa22: --format {args.format} is not "
+                                 f"cached and reads no --{flag.replace('_', '-')}"
+                                 "; drop it or use --format json or text")
     if args.window is not None and not args.modes:
         raise SystemExit("uqa22: --window sets the mode expansion; add --modes "
                          "or drop --window")

@@ -165,22 +165,30 @@ class QPoly:
     def eval(self, q0: Fraction) -> Fraction:
         """Exact value at q = q0.  Needs q0 != 0 when negative powers occur."""
         q0 = _as_fraction(q0)
+        return Fraction(*self.eval_pair(q0.numerator, q0.denominator))
+
+    def eval_pair(self, n: int, d: int):
+        """Integers (top, bottom) with top/bottom the value at q0 = n/d.
+
+        The pair is not reduced.  Needs n != 0 when negative powers occur.
+        """
         if not self.coeffs:
-            return Fraction(0)
-        if self.off < 0 and q0 == 0:
+            return 0, 1
+        if self.off < 0 and n == 0:
             raise ZeroDivisionError("pole at q0 = 0")
-        # Horner on the homogenised form: with q0 = n/d and top degree t,
-        # acc = d^t * sum_k c_k q0^k stays an int for int coefficients,
-        # and only the final quotient forms a Fraction
-        n, d = q0.numerator, q0.denominator
+        # Horner on the homogenised form: with top degree t,
+        # acc = d^t * sum_k c_k q0^k stays an int for int coefficients
         acc, dk = self.coeffs[-1], 1
         for c in reversed(self.coeffs[:-1]):
             dk *= d
             acc = acc * n + c * dk
+        if type(acc) is not int:
+            # a non-integral coefficient leaves a Fraction
+            acc, dk = acc.numerator, dk * acc.denominator
         e = self.off
         if e >= 0:
-            return Fraction(acc * n ** e, dk * d ** e)
-        return Fraction(acc * d ** -e, dk * n ** -e)
+            return acc * n ** e, dk * d ** e
+        return acc * d ** -e, dk * n ** -e
 
     def __eq__(self, other) -> bool:
         return (
@@ -465,12 +473,18 @@ class QRat:
     def eval(self, q0) -> Fraction:
         """Exact value at q = q0; q0 must not be a root of the denominator."""
         q0 = _as_fraction(q0)
+        return Fraction(*self.eval_pair(q0.numerator, q0.denominator))
+
+    def eval_pair(self, n: int, d: int):
+        """Integers (top, bottom) with top/bottom the value at q0 = n/d,
+        which must not be a root of the denominator.  Not reduced."""
         if self.den.is_one():
-            return self.num.eval(q0)
-        d = self.den.eval(q0)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at q0 = {q0}")
-        return self.num.eval(q0) / d
+            return self.num.eval_pair(n, d)
+        dt, db = self.den.eval_pair(n, d)
+        if dt == 0:
+            raise ZeroDivisionError(f"pole at q0 = {Fraction(n, d)}")
+        nt, nb = self.num.eval_pair(n, d)
+        return nt * db, nb * dt
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import comb
 
-from .qfield import ONE, ZERO, QRat, _as_fraction, qnum
+from .qfield import ONE, ZERO, QPoly, QRat, _as_fraction, qnum
 
 INF = math.inf
+_first = operator.itemgetter(0)
 
 
 def ratio_degree(a) -> int:
@@ -42,6 +43,111 @@ def vec_add(a, b):
 def unit_vec(n: int, i: int, value: int = 1):
     """Exponent vector value*e_i (i is 1-based)."""
     return tuple(value if k == i - 1 else 0 for k in range(n))
+
+
+# -- packed products ---------------------------------------------------------
+
+def _key_packing(n: int, x: dict, y: dict):
+    """(pack, unpack) between exponent vectors and int keys for a product
+    of the term dicts x and y.
+
+    The key of a is sum_i a_i * 2^(w*i).  With M the largest |exponent|
+    in x or y and w = bit_length(M) + 2, every digit of a sum of two
+    keys, a_i + b_i, has |a_i + b_i| <= 2M < 2^(w-1) = h.  Adding
+    sum_i h * 2^(w*i) turns each digit into a_i + b_i + h in [0, 2^w),
+    an ordinary base-2^w numeral, so key(a) + key(b) decodes to a + b
+    and distinct sums have distinct keys.
+    """
+    m = max(map(abs, chain.from_iterable(chain(x, y))), default=0)
+    w = m.bit_length() + 2
+    shifts = range(0, w * n, w)
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = sum(half << sh for sh in shifts)
+
+    def pack(a):
+        return sum(map(operator.lshift, a, shifts))
+
+    def unpack(k):
+        k += bias
+        return tuple([((k >> sh) & mask) - half for sh in shifts])
+
+    return pack, unpack
+
+
+def _int_laurent(terms: dict):
+    """(least q-exponent, 1 + greatest q-exponent, L1) of the coefficients
+    when each one is an integer Laurent polynomial, else None.  L1 is the
+    sum of the absolute values of every integer coefficient of every
+    term."""
+    nums = [c.num for c in terms.values() if c.den.is_one()]
+    if len(nums) < len(terms):
+        return None
+    l1 = sum([sum(map(abs, p.coeffs)) for p in nums])
+    if type(l1) is not int:
+        return None    # a Fraction coefficient makes the sum a Fraction
+    return (min([p.off for p in nums]),
+            max([p.off + len(p.coeffs) for p in nums]), l1)
+
+
+def _identity(c):
+    return c
+
+
+def _coefficient_ring(x: dict, y: dict):
+    """(pack_x, pack_y, unpack) of the coefficient ring of a product of
+    the nonempty term dicts x and y.
+
+    When every coefficient of both is an integer Laurent polynomial the
+    ring is Z, by Kronecker substitution: a coefficient q^off * P(q) of
+    an operand whose least q-exponent is b packs to the int
+    P(2^s) * 2^(s*(off - b)), the value at q = 2^s of the polynomial
+    q^(off-b) * P(q), whose exponents are nonnegative.  Packing is a ring
+    homomorphism, so a sum of packed products is the packed value of the
+    polynomial sum, whose exponents are counted from b_x + b_y.
+
+    Slot width: each coefficient c_k of an output term is a sum of
+    products alpha * beta of one integer coefficient of x and one of y,
+    each such pair used at most once, so |c_k| <= L1(x) * L1(y) < 2^(s-1)
+    = h for s = bit_length(L1(x) * L1(y)) + 1.  Adding h * 2^(s*k) for
+    every slot k turns each digit into c_k + h in (0, 2^s): an ordinary
+    base-2^s numeral, so the digits decode exactly, and a packed value
+    is 0 only for the zero polynomial.  Its lowest nonzero slot is the
+    one holding its lowest set bit.  With c_D its top nonzero
+    coefficient the lower slots add up to less than 2^(s*D-1) in
+    absolute value, so 2^(s*D-1) < |V| < 2^(s*(D+1)-1) and
+    D = bit_length(V) // s.
+
+    Otherwise the ring is Q(q) itself and the coefficients stay ``QRat``.
+    """
+    nx, ny = _int_laurent(x), _int_laurent(y)
+    if nx is None or ny is None:
+        return _identity, _identity, _identity
+    (bx, hx, lx), (by, hy, ly) = nx, ny
+    s = (lx * ly).bit_length() + 1
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    # one slot per exponent of the widest packed product
+    bias = half * ((1 << (s * (hx - bx + hy - by - 1))) - 1) // mask
+    base, one = bx + by, QPoly.one()
+
+    def packer(b):
+        def pack(c):
+            num = c.num
+            v = 0
+            for a in reversed(num.coeffs):
+                v = (v << s) + a
+            return v << (s * (num.off - b))
+        return pack
+
+    def unpack(v):
+        lo = ((v & -v).bit_length() - 1) // s
+        w = v + bias
+        num = QPoly.__new__(QPoly)
+        num.off = base + lo
+        num.coeffs = tuple([((w >> sh) & mask) - half for sh in
+                            range(s * lo, s * (v.bit_length() // s + 1), s)])
+        return QRat(num, one, _canonical=True)
+
+    return packer(bx), packer(by), unpack
 
 
 class ExpansionSeries:
@@ -143,6 +249,16 @@ class ExpansionSeries:
         return ExpansionSeries._of(self.n, terms, self.validity + ratio_degree(a))
 
     def mul(self, other: "ExpansionSeries") -> "ExpansionSeries":
+        """Truncated product: every pair with d(a) + d(b) <= validity.
+
+        The pairs are summed in one loop whose coefficient ring is chosen
+        per product.  When every coefficient of both operands is an
+        integer Laurent polynomial it is packed into one int
+        (``_coefficient_ring``); otherwise the coefficients stay ``QRat``.
+        Exponent vectors are packed into int keys either way, and the
+        inner operand is sorted by ratio degree so that each row stops at
+        the validity bound.
+        """
         self._check_mate(other)
         if other.validity == INF and len(other.terms) == 1:
             (a, c), = other.terms.items()
@@ -150,21 +266,33 @@ class ExpansionSeries:
         if self.validity == INF and len(self.terms) == 1:
             (a, c), = self.terms.items()
             return other._shift_scale(a, c)
-        va = self.validity + other.min_degree_bound()
-        vb = other.validity + self.min_degree_bound()
+        x, y = self.terms, other.terms
+        if not x or not y:
+            va = self.validity + other.min_degree_bound()
+            vb = other.validity + self.min_degree_bound()
+            return ExpansionSeries._of(self.n, {}, min(va, vb))
+        pack_key, unpack_key = _key_packing(self.n, x, y)
+        pack_x, pack_y, unpack = _coefficient_ring(x, y)
+        outer = [(ratio_degree(a), pack_key(a), pack_x(c)) for a, c in x.items()]
+        inner = sorted([(ratio_degree(b), pack_key(b), pack_y(c))
+                        for b, c in y.items()], key=_first)
+        # the least degrees are the min_degree_bound of nonempty operands
+        va = self.validity + inner[0][0]
+        vb = other.validity + min(map(_first, outer))
         validity = min(va, vb)
-        da = [(a, ratio_degree(a), c) for a, c in self.terms.items()]
-        db = [(b, ratio_degree(b), c) for b, c in other.terms.items()]
-        terms = {}
-        for a, dega, ca in da:
-            for b, degb, cb in db:
-                if dega + degb > validity:
-                    continue
-                key = vec_add(a, b)
+        sums = {}
+        for dega, ka, ca in outer:
+            room = validity - dega
+            for degb, kb, cb in inner:
+                if degb > room:
+                    break
+                key = ka + kb
                 c = ca * cb
-                s = terms.get(key)
-                terms[key] = c if s is None else s + c
-        return ExpansionSeries(self.n, terms, validity)
+                s = sums.get(key)
+                sums[key] = c if s is None else s + c
+        # a zero sum, packed int or QRat, is falsy
+        terms = {unpack_key(k): unpack(c) for k, c in sums.items() if c}
+        return ExpansionSeries._of(self.n, terms, validity)
 
     __mul__ = mul
 
@@ -384,15 +512,17 @@ class FactoredRational:
         The value is kept as one integer numerator and denominator, which
         the scalar at q0, each z^e and each binomial (u z_i + v z_j)^m,
         over the common denominator of its two products, multiply into;
-        a negative exponent swaps the two.  The returned Fraction is the
-        only one formed, so a value costs one gcd.  A vanishing base with
+        a negative exponent swaps the two.  The scalar, u and v are
+        evaluated as integer pairs (``QRat.eval_pair``).  The returned
+        Fraction is the only one formed, so a value costs one gcd.  A vanishing base with
         m > 0 makes the value 0, but a later pole still raises.
         """
         zs = [_as_fraction(z) for z in zvals]
         if len(zs) != self.n:
             raise ValueError("wrong number of z values")
-        s = self.scalar.eval(q0)
-        num, den = s.numerator, s.denominator
+        q0 = _as_fraction(q0)
+        qn, qd = q0.numerator, q0.denominator
+        num, den = self.scalar.eval_pair(qn, qd)
         for e, z in zip(self.monomial, zs):
             if e:
                 top, bottom = z.numerator, z.denominator
@@ -401,9 +531,10 @@ class FactoredRational:
                     top, bottom, e = bottom, top, -e
                 num, den = num * top ** e, den * bottom ** e
         for u, i, v, j, m in self.factors:
-            a, b, zi, zj = u.eval(q0), v.eval(q0), zs[i - 1], zs[j - 1]
-            an, ad = a.numerator * zi.numerator, a.denominator * zi.denominator
-            bn, bd = b.numerator * zj.numerator, b.denominator * zj.denominator
+            (an, ad), (bn, bd) = u.eval_pair(qn, qd), v.eval_pair(qn, qd)
+            zi, zj = zs[i - 1], zs[j - 1]
+            an, ad = an * zi.numerator, ad * zi.denominator
+            bn, bd = bn * zj.numerator, bd * zj.denominator
             top, bottom = an * bd + bn * ad, ad * bd
             if m < 0:
                 if not top:

@@ -280,13 +280,24 @@ ARTIFACT_SHA256 = {
     "weight-minus-n4": (
         ["weight", "minus", "--n", "4", "--depth", "5"],
         "2a8ffaa2dc8296f265bb941b7c0970d281fa9df867f2a36626ab6006228f6eea"),
+    # recorded before series products packed their coefficients into
+    # ints; both evaluators share that product, so the closed-vs-recursive
+    # oracle cannot see a slip in it, and these pin n=5
+    "weight-plus-n5": (
+        ["weight", "plus", "--n", "5", "--depth", "4"],
+        "f1bdd5fb23f3b60c5b149e2a30c64814078d8abf7ea5e8b211d9d1ad17203040"),
+    "weight-minus-n5": (
+        ["weight", "minus", "--n", "5", "--depth", "4"],
+        "63dd8bf7c4858a183fabb830c11870b42e8d5fb1d81381bbc388a914fc4bda0e"),
 }
 
 
 @pytest.mark.parametrize("case", list(ARTIFACT_SHA256))
 def test_artifacts_are_byte_identical(case, capsys):
     args, digest = ARTIFACT_SHA256[case]
-    if args[0] in ("weight", "rmatrix"):
+    # the LaTeX formats of weight are not cached and refuse --no-cache
+    latex = "--format" in args and args[args.index("--format") + 1].startswith("latex")
+    if args[0] in ("weight", "rmatrix") and not latex:
         args = [*args, "--no-cache"]
     _, out = invoke(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -333,20 +344,18 @@ def test_interp_report_is_byte_identical(seed, tmp_path, capsys):
 
 def test_weight_latex_contains_block_ratio(tmp_path, capsys):
     _, out = invoke(capsys, [
-        "weight", "plus", "--n", "2", "--format", "latex", "--no-cache"])
+        "weight", "plus", "--n", "2", "--format", "latex"])
     assert "q^{2}-z_{2}/z_{1}" in out
     assert out.startswith("P\\big(f(z_{1})f(z_{2})\\big) =")
 
 
 def test_weight_latex_summary(tmp_path, capsys):
     _, out = invoke(capsys, [
-        "weight", "plus", "--n", "4", "--format", "latex-summary",
-        "--no-cache"])
+        "weight", "plus", "--n", "4", "--format", "latex-summary"])
     assert "\\tau^{1}_{\\{3,1\\},\\{4,2\\}}" in out
     assert "\\mathcal{S}(z_{3})\\,\\mathcal{S}(z_{3};z_{1})" in out
     _, out = invoke(capsys, [
-        "weight", "minus", "--n", "2", "--format", "latex-summary",
-        "--no-cache"])
+        "weight", "minus", "--n", "2", "--format", "latex-summary"])
     assert "\\tilde{\\mathcal{F}}(z_{1};z_{2})" in out
 
 
@@ -480,6 +489,10 @@ def test_canonical_json_rejects_inexact_and_unknown_values(obj):
     ("weight plus --n 2 --window 7", "--window sets the mode expansion"),
     ("weight plus --n 2 --format latex --depth 9",
      "--format latex is not expanded and reads no --depth"),
+    ("weight plus --n 2 --format latex --cache-dir cache",
+     "--format latex is not cached and reads no --cache-dir"),
+    ("weight plus --n 2 --format latex-summary --no-cache",
+     "--format latex-summary is not cached and reads no --no-cache"),
     ("rmatrix --cartan-order -1", "--cartan-order must be at least 0"),
     ("verify --suite enumeration --n 11", "brute-force enumeration is capped at n = 10"),
     ("verify --suite modes --window 1", "--window must be at least 2"),

@@ -214,6 +214,27 @@ def test_eval_negative_powers_at_int_point_is_a_fraction():
     assert type(QPoly.zero().eval(3)) is Fraction
 
 
+def _term_by_term(p, q0):
+    return sum((c * q0 ** e for e, c in p.terms()), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(qrats(), st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                                 Fraction(2), Fraction(-3, 2), Fraction(5, 7)]))
+def test_eval_pair_is_an_integer_pair_of_the_value(a, q0):
+    try:
+        want = _term_by_term(a.num, q0) / _term_by_term(a.den, q0)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="pole at q0"):
+            a.eval_pair(q0.numerator, q0.denominator)
+        return
+    for x in (a, a.num):
+        top, bottom = x.eval_pair(q0.numerator, q0.denominator)
+        assert type(top) is int and type(bottom) is int
+        assert Fraction(top, bottom) == x.eval(q0)
+    assert Fraction(*a.eval_pair(q0.numerator, q0.denominator)) == want
+
+
 # -- reduction: trial division over the factors of 1+q^3 vs Euclid --------
 
 def _power(f, e):

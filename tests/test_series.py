@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_expand, random_monomial, rational_stream
 from uqa22.blocks import ArgList, build_block, build_kernel
-from uqa22.qfield import qnum, qpow
+from uqa22.qfield import QPoly, QRat, qnum, qpow
 from uqa22.series import INF, ExpansionSeries, FactoredRational, ratio_degree
 
 q = qpow(1)
@@ -352,6 +352,93 @@ def test_sum_equals_the_filtered_sum(data):
     y = y + ExpansionSeries(3, {a: -x.terms[a] for a in cancel}, y.validity)
     assert x + y == _reference_add(x, y)
     assert y + x == _reference_add(y, x)
+
+
+# -- packed products against the QRat convolution ---------------------------
+
+def _assert_same_series(got, want):
+    """Equal field by field, down to the type of every coefficient."""
+    assert (got.n, got.validity) == (want.n, want.validity)
+    assert got.terms.keys() == want.terms.keys()
+    for a, c in want.terms.items():
+        assert type(a) is tuple and all(type(e) is int for e in a)
+        g = got.terms[a]
+        for gp, wp in ((g.num, c.num), (g.den, c.den)):
+            assert (gp.off, gp.coeffs) == (wp.off, wp.coeffs)
+            assert list(map(type, gp.coeffs)) == list(map(type, wp.coeffs))
+
+
+def _laurent(off, coeffs):
+    return QRat(QPoly(off, coeffs))
+
+
+def _int_laurent_coeffs(bound):
+    return st.builds(_laurent, st.integers(min_value=-4, max_value=4),
+                     st.lists(st.integers(min_value=-bound, max_value=bound),
+                              min_size=1, max_size=4))
+
+
+# coefficients that are not integer Laurent polynomials
+_field_coeffs = st.sampled_from([
+    qnum(Fraction(1, 3)), _laurent(-2, [Fraction(-5, 2), 0, 1]),
+    qnum(1) / (qnum(1) + qpow(3)), qpow(-1, 2) / (qnum(1) + q)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_product_equals_the_reference_convolution(data):
+    n = data.draw(st.integers(min_value=1, max_value=4), label="n")
+    span = data.draw(st.sampled_from([2, 1100]), label="exponent span")
+    coeffs = _int_laurent_coeffs(
+        data.draw(st.sampled_from([3, 2 ** 70]), label="coefficient bound"))
+    if data.draw(st.booleans(), label="mixed"):
+        coeffs = st.one_of(coeffs, _field_coeffs)
+    exps = st.tuples(*[st.integers(min_value=-span, max_value=span)] * n)
+    validity = st.one_of(st.just(INF), st.integers(min_value=-8, max_value=8))
+    tx = data.draw(st.dictionaries(exps, coeffs, max_size=6))
+    ty = data.draw(st.dictionaries(exps, coeffs, max_size=6))
+    if data.draw(st.booleans(), label="cancel"):
+        # c z^a + c z^(a+t) times d z^(b+t) - d z^b: the two products
+        # at a+b+t cancel
+        a, b, t = data.draw(exps), data.draw(exps), data.draw(exps)
+        c, d = data.draw(coeffs), data.draw(coeffs)
+        tx.update({a: c, tuple(i + j for i, j in zip(a, t)): c})
+        ty.update({tuple(i + j for i, j in zip(b, t)): d, b: -d})
+    x = ExpansionSeries(n, tx, data.draw(validity))
+    y = ExpansionSeries(n, ty, data.draw(validity))
+    _assert_same_series(x.mul(y), _reference_mul(x, y))
+    _assert_same_series(y.mul(x), _reference_mul(y, x))
+
+
+_z1, _z2 = (1, 0), (0, 1)
+
+
+@pytest.mark.parametrize("tx, vx, ty, vy", [
+    # an output coefficient of +-L1(x) * L1(y), the slot bound
+    ({_z1: qnum(3)}, 5, {_z2: qnum(5)}, 5),
+    ({_z1: qnum(-3)}, 5, {_z2: qnum(5)}, 2),
+    # (z1 + z2)(z1 - z2): the z1 z2 terms cancel and are dropped
+    ({_z1: qnum(1), _z2: qnum(1)}, INF, {_z1: qnum(1), _z2: qnum(-1)}, INF),
+    ({_z1: _laurent(-3, [1, -2]), _z2: _laurent(-3, [1, -2])}, 9,
+     {_z1: _laurent(4, [2, 1]), _z2: _laurent(4, [-2, -1])}, 9),
+    # the second operand's terms out of degree order, some pairs kept
+    ({_z1: qnum(1), _z2: qnum(-2)}, 4, {(0, 3): qnum(1), _z1: q}, 7),
+    # every pair above the bound, and empty operands
+    ({_z2: qnum(2), (0, 3): qnum(1)}, 1, {(2, 0): qnum(1), _z1: q}, INF),
+    ({}, INF, {_z1: qnum(1), _z2: q}, INF),
+    ({}, 3, {_z1: qnum(1), _z2: q}, 7),
+    ({_z1: qnum(1), _z2: q}, 4, {}, INF),
+    # exponents and coefficients past any fixed width
+    ({(1500, -1200): qnum(2 ** 70), (-3, 0): _laurent(-9, [-(2 ** 71), 5])}, INF,
+     {(-1500, 1201): qnum(-(2 ** 69)), (0, -2000): qnum(3)}, INF),
+    # a Fraction or a (1+q^3) denominator keeps the QRat ring
+    ({_z1: qnum(Fraction(1, 3)), _z2: q}, INF, {_z1: q, _z2: qnum(2)}, INF),
+    ({_z1: qnum(1) / (qnum(1) + qpow(3)), _z2: q}, 6, {_z1: q, _z2: qnum(2)}, 6),
+])
+def test_packed_product_edge_cases(tx, vx, ty, vy):
+    x, y = ExpansionSeries(2, tx, vx), ExpansionSeries(2, ty, vy)
+    _assert_same_series(x.mul(y), _reference_mul(x, y))
+    _assert_same_series(y.mul(x), _reference_mul(y, x))
 
 
 def _reference_eval_exact(fr, q0, zvals):
