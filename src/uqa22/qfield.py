@@ -15,7 +15,9 @@ representation is tuned for that ring without leaving Q(q):
   multiplied and evaluated without any ``Fraction`` arithmetic;
 * a denominator that is a constant times a product of the cyclotomic
   factors of 1+q^3 and q-1 is reduced by exact trial division, and only
-  any other denominator takes the Euclidean gcd over Q.
+  any other denominator takes the Euclidean gcd over Q;
+* the product of two reduced values a/b and c/d cancels a only against
+  d and c only against b, and a power multiplies out with no gcd.
 """
 
 from __future__ import annotations
@@ -123,6 +125,8 @@ class QPoly:
         The ends stay nonzero, so nothing is trimmed; an integral product
         of a ``Fraction`` is still turned into an ``int``.
         """
+        if c == 1 and not k:
+            return self
         out = QPoly.__new__(QPoly)
         out.off = self.off + k
         if c == 1:
@@ -152,9 +156,13 @@ class QPoly:
         return QPoly(lo, cs)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        if not self.coeffs or not other.coeffs:
-            return QPoly.zero()
         a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return QPoly.zero()
+        if len(b) == 1:
+            return self.times_term(other.off, b[0])
+        if len(a) == 1:
+            return other.times_term(self.off, a[0])
         cs = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -330,6 +338,15 @@ def _reduce(a, b):
     return a, b
 
 
+def _cancel(p: QPoly, den: QPoly):
+    """p and the canonical den divided by their monic gcd (``_reduce``);
+    a unit den, or a monomial p, has none, as q does not divide den."""
+    if len(den.coeffs) == 1 or len(p.coeffs) == 1:
+        return p, den
+    a, b = _reduce(p.coeffs, den.coeffs)
+    return QPoly(p.off, a), QPoly(0, b)
+
+
 class QRat:
     """Element of Q(q) in canonical reduced form.
 
@@ -357,12 +374,9 @@ class QRat:
     def _normalize(num: QPoly, den: QPoly):
         """Reduce num/den to the canonical form described on the class.
 
-        The common factor is removed by ``_reduce``: trial division by
-        the factors of 1+q^3 and q-1 when the denominator splits over
-        them (every denominator on the weight and mode path does), else
-        Euclid.  Both divide by the monic gcd, and a reduced form with a
-        monic denominator is unique, so the two paths give the same
-        fields.
+        ``_reduce`` divides both by their monic gcd, by trial division or
+        by Euclid; a reduced form with a monic denominator is unique, so
+        either path gives the same fields.
         """
         if den.is_zero():
             raise ZeroDivisionError("division by zero in Q(q)")
@@ -382,8 +396,6 @@ class QRat:
             inv = 1 / Fraction(lc)
             a = [c * inv for c in a]
             b = [c * inv for c in b]
-        if len(b) == 1:
-            return QPoly(vn, a), QPoly.one()
         return QPoly(vn, a), QPoly(0, b)
 
     # -- predicates ---------------------------------------------------
@@ -427,23 +439,12 @@ class QRat:
     def __mul__(self, other) -> "QRat":
         if type(other) is not QRat:
             other = qnum(other)
-        num, onum = self.num, other.num
-        if not num.coeffs or not onum.coeffs:
-            return QRat()
-        # a unit-denominator monomial c*q^k shares no factor with a
-        # canonical denominator (valuation 0, so q does not divide it):
-        # multiplying by it keeps the form reduced
-        if len(onum.coeffs) == 1 and other.den.is_one():
-            return QRat(num.times_term(onum.off, onum.coeffs[0]), self.den,
-                        _canonical=True)
-        if self.den.is_one():
-            if len(num.coeffs) == 1:
-                return QRat(onum.times_term(num.off, num.coeffs[0]), other.den,
-                            _canonical=True)
-            if other.den.is_one():
-                # re-canonicalize only when a unit denominator hides nothing
-                return QRat(num * onum, QPoly.one(), _canonical=True)
-        return QRat(num * onum, self.den * other.den)
+        if not self.num.coeffs or not other.num.coeffs:
+            return ZERO
+        # both are reduced: a numerator shares factors only with the other den
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return QRat(a * c, b * d, _canonical=True)
 
     def __truediv__(self, other) -> "QRat":
         return self * qnum(other).inv()
@@ -454,13 +455,12 @@ class QRat:
         return QRat(self.den, self.num)
 
     def __pow__(self, k: int) -> "QRat":
-        if k == 0:
-            return QRat(1)
-        base = self if k > 0 else self.inv()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        """A power of a reduced value is reduced; only ``inv`` forms a gcd."""
+        base = self if k >= 0 else self.inv()
+        num, den = QPoly.one(), QPoly.one()
+        for _ in range(abs(k)):
+            num, den = num * base.num, den * base.den
+        return QRat(num, den, _canonical=True)
 
     __radd__ = __add__
     __rmul__ = __mul__

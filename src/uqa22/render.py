@@ -54,8 +54,7 @@ def latex_qrat(x: QRat, wrap_sum: bool = False) -> str:
 
 def _latex_atom(u: QRat, i: int, v: QRat, j: int) -> str:
     """One binomial in ratio form, u + v * z_j/z_i."""
-    left = latex_qpoly(u.num) if u.den.is_one() else latex_qrat(u)
-    right = latex_qpoly(v.num) if v.den.is_one() else latex_qrat(v)
+    left, right = latex_qrat(u), latex_qrat(v)
     if right == "1":
         right = ""
     elif right == "-1":

@@ -488,7 +488,7 @@ class FactoredRational:
         acc = u ** m
         a = base
         for t in range(tmax + 1):
-            terms[a] = acc * comb(mm - 1 + t, t) * ((-1) ** t)
+            terms[a] = acc * (comb(mm - 1 + t, t) * (-1) ** t)
             acc = acc * ratio
             a = vec_add(a, step)
         return ExpansionSeries(n, terms, ratio_degree(base) + depth)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from uqa22.qfield import (
     _FACTORS,
+    ONE,
+    ZERO,
     QPoly,
     QRat,
     _div_monic,
@@ -340,27 +342,77 @@ def test_list_gcd_is_monic_and_divides_both(case, u, v):
     assert _div_monic(h, g) is not None     # the common factor divides it
 
 
-# -- products with a unit-denominator monomial skip the reduction ----------
+# -- products cancel each numerator against the other denominator only -----
 
-@settings(max_examples=150, deadline=None)
-@given(dense_polys, exponents, int_or_frac.filter(bool),
-       st.integers(min_value=-4, max_value=4), st.integers(min_value=-3, max_value=3))
-def test_monomial_product_equals_the_normalising_product(u, den_exps, c, k, shift):
-    den = QPoly.one()
-    for f, e in zip(_FACTORS, den_exps):
-        den = den * _power(f, e)
-    x = QRat(u.shift(shift), den)
-    m = qpow(k, c)
-    # the path the fast one replaces: full product, then _normalize
-    reference = QRat(x.num * m.num, x.den * m.den)
-    for got in (x * m, m * x):
-        assert got.num.off == reference.num.off
-        assert got.num.coeffs == reference.num.coeffs
-        assert got.den.off == reference.den.off
-        assert got.den.coeffs == reference.den.coeffs
-        assert [type(v) for v in got.num.coeffs] == \
-            [type(v) for v in reference.num.coeffs]
-        assert_canonical(got)
+# irreducible over Q and not in _FACTORS, so a denominator holding one
+# is reduced by Euclid
+_UNLISTED = (QPoly(0, [1, 0, 1]), QPoly(0, [2, 1]),
+             QPoly(0, [Fraction(1, 2), 0, 0, 1]))
+
+
+@st.composite
+def general_values(draw, g):
+    """A value of the engine's shapes: a unit-denominator monomial, a
+    constant, or u * prod f^i * g^a / (prod f^j * g^b) over ``_FACTORS``
+    and the unlisted factor g, coefficients integral or not."""
+    kind = draw(st.sampled_from(["monomial", "constant", "factored"]))
+    c = draw(int_or_frac.filter(bool))
+    if kind == "monomial":
+        return qpow(draw(st.integers(min_value=-4, max_value=4)), c)
+    if kind == "constant":
+        return qnum(c)
+    num = draw(dense_polys).shift(draw(st.integers(min_value=-3, max_value=3)))
+    den = QPoly(0, [c])
+    for f, i, j in zip(_FACTORS, draw(exponents), draw(exponents)):
+        num = num * _power(f, i)
+        den = den * _power(f, j)
+    a, b = draw(st.integers(min_value=0, max_value=2)), \
+        draw(st.integers(min_value=0, max_value=2))
+    return QRat(num * _power(g.coeffs, a), den * _power(g.coeffs, b))
+
+
+@st.composite
+def value_pairs(draw):
+    g = draw(st.sampled_from(_UNLISTED))
+    return draw(general_values(g)), draw(general_values(g))
+
+
+def assert_same_fields(got: QRat, want: QRat):
+    for p, r in ((got.num, want.num), (got.den, want.den)):
+        assert p.off == r.off
+        assert p.coeffs == r.coeffs
+        assert [type(v) for v in p.coeffs] == [type(v) for v in r.coeffs]
+    assert_canonical(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_pairs())
+def test_product_equals_the_normalising_product(pair):
+    x, y = pair
+    # the whole product reduced again by _normalize
+    reference = QRat(x.num * y.num, x.den * y.den)
+    for got in (x * y, y * x):
+        assert_same_fields(got, reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_UNLISTED).flatmap(general_values))
+def test_power_equals_the_normalising_repeated_product(base):
+    for k in range(-3, 4):
+        b = base if k >= 0 else base.inv()
+        reference = QRat(1)
+        for _ in range(abs(k)):
+            reference = QRat(reference.num * b.num, reference.den * b.den)
+        assert_same_fields(base ** k, reference)
+
+
+def test_powers_of_zero():
+    assert_same_fields(ZERO ** 0, ONE)
+    for k in (1, 2, 3):
+        assert_same_fields(ZERO ** k, ZERO)
+    for k in (-1, -2, -3):
+        with pytest.raises(ZeroDivisionError):
+            ZERO ** k
 
 
 def test_monomial_product_turns_an_integral_fraction_into_an_int():
