@@ -32,27 +32,36 @@ from .verify import SUITE_NAMES, run_suite
 SCHEMA_VERSION = 1
 
 
-def _json_text(obj, indent: str) -> str:
+def _json_text(obj, indent: str, memo: dict) -> str:
     """``json.dumps(obj, sort_keys=True, indent=1)`` of an exact value,
-    nested at ``indent``.  Each container joins its items once."""
+    nested at ``indent``.  Each container joins its items once, and a dict
+    met a third time at the same indent reuses its text from ``memo``."""
     t = type(obj)
     if t is str:
         return encode_basestring_ascii(obj)
     if t is dict:
         if not obj:
             return "{}"
+        seen = (id(obj), indent)
+        text = memo.get(seen)
+        if text:
+            return text
         inner = indent + " "
         for key in obj:
             if type(key) is not str:
                 raise TypeError(f"non-string key {key!r} in canonical JSON")
-        items = [encode_basestring_ascii(k) + ": " + _json_text(obj[k], inner)
+        items = [encode_basestring_ascii(k) + ": " + _json_text(obj[k], inner, memo)
                  for k in sorted(obj)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        text = "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        # keep a text from the dict's second visit on: the texts of the
+        # many dicts met once would stay alive until the call returns
+        memo[seen] = text if seen in memo else ""
+        return text
     if t is list or t is tuple:
         if not obj:
             return "[]"
         inner = indent + " "
-        items = [_json_text(v, inner) for v in obj]
+        items = [_json_text(v, inner, memo) for v in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if obj is None:
         return "null"
@@ -69,9 +78,11 @@ def _canonical_json(obj) -> str:
     """The canonical artifact text: sorted keys, one-space indent, ASCII.
 
     Only str, int, bool, None, lists, tuples and str-keyed dicts are
-    accepted; a float or any other type raises ``TypeError``.
+    accepted; a float or any other type raises ``TypeError``.  A dict
+    shared within ``obj`` is written at most twice; the memo keyed by its
+    ``id`` lives only for this call, while ``obj`` keeps every id in use.
     """
-    return _json_text(obj, "") + "\n"
+    return _json_text(obj, "", {}) + "\n"
 
 
 def _cache_dir(args) -> Path | None:
@@ -91,6 +102,9 @@ def _atomic_write(path: Path, text: str):
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        umask = os.umask(0)  # mkstemp makes the file 0600; honour the umask
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

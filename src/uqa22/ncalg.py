@@ -250,13 +250,14 @@ class NCExpr:
 
     def to_json(self):
         v = self.validity
+        shared = {}
         return {
             "n": self.n,
             "alphabet": self.alphabet() or "mode",
             "validity": None if v == INF else v,
             "terms": [
                 {"word": [_symbol_json(s) for s in w],
-                 "coeff": self.coeffs[w].to_json()}
+                 "coeff": self.coeffs[w]._json(shared)}
                 for w in self.words()
             ],
         }

@@ -512,6 +512,16 @@ class QRat:
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
+    def _json(self, shared: dict):
+        """``to_json``, as one object per value among those in ``shared``:
+        a container's ``to_json`` makes ``shared`` and drops it on return.
+        Equal values have identical fields, so the fields are the key."""
+        key = (self.num.off, self.num.coeffs, self.den.off, self.den.coeffs)
+        j = shared.get(key)
+        if j is None:
+            j = shared[key] = self.to_json()
+        return j
+
     @classmethod
     def from_json(cls, data) -> "QRat":
         return cls(QPoly.from_json(data["num"]), QPoly.from_json(data["den"]))

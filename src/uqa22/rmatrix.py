@@ -46,13 +46,14 @@ class TensorExpr:
         return sorted(self.terms.items(), key=key)
 
     def to_json(self):
+        shared = {}
         return {
             "order": self.order,
             "window": self.window,
             "terms": [
                 {"left": [_symbol_json(s) for s in l],
                  "right": [_symbol_json(s) for s in r],
-                 "coeff": c.to_json()}
+                 "coeff": c._json(shared)}
                 for (l, r), c in self.sorted_terms()
             ],
         }

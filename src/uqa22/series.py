@@ -343,11 +343,14 @@ class ExpansionSeries:
         return [(a, self.terms[a]) for a in sorted(self.terms)]
 
     def to_json(self):
+        return self._json({})
+
+    def _json(self, shared: dict):
         v = self.validity
         return {
             "n": self.n,
             "validity": None if v == INF else v,
-            "terms": [[list(a), c.to_json()] for a, c in self.sorted_terms()],
+            "terms": [[list(a), c._json(shared)] for a, c in self.sorted_terms()],
         }
 
     @classmethod

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,11 @@ from hypothesis import strategies as st
 
 from uqa22 import cli
 from uqa22.cli import main
+from uqa22.ncalg import _symbol_json
+from uqa22.projection import mode_expand, weight_minus_closed, weight_plus_closed
+from uqa22.qfield import qnum, qpow
+from uqa22.rmatrix import assemble_R
+from uqa22.series import INF, ExpansionSeries
 
 
 def invoke(capsys, args):
@@ -441,8 +448,25 @@ _json_values = st.recursive(
     max_leaves=30)
 
 
+# trees that hold one dict or list object several times, at the same and at
+# different indents, as the artifacts hold one object per distinct coefficient
+@st.composite
+def _trees_with_shared_objects(draw):
+    shared = draw(st.one_of(
+        st.lists(_json_values, min_size=1, max_size=3),
+        st.dictionaries(st.text(max_size=6), _json_values, min_size=1, max_size=3)))
+    outer = {"a": shared, "b": [shared, shared]}
+    tree = draw(st.recursive(
+        st.one_of(_json_leaves, st.just(shared), st.just(outer)),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+        max_leaves=20))
+    return [tree, shared, outer, [shared, [outer]], {"x": outer, "y": shared}]
+
+
 @settings(max_examples=150, deadline=None)
-@given(_json_values)
+@given(st.one_of(_json_values, _trees_with_shared_objects()))
 def test_canonical_json_matches_json_dumps(obj):
     assert cli._canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
@@ -453,11 +477,120 @@ def test_canonical_json_edge_values():
     assert cli._canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
+_SHARED_FLOAT = {"x": {"y": [1, 0.5]}}
+
+
 @pytest.mark.parametrize("obj", [0.5, [1, 2.0], {"a": {"b": float("nan")}},
-                                 {1: "int key"}, {"a": {1, 2}}])
+                                 {1: "int key"}, {"a": {1, 2}},
+                                 [_SHARED_FLOAT, _SHARED_FLOAT, [_SHARED_FLOAT]]])
 def test_canonical_json_rejects_inexact_and_unknown_values(obj):
     with pytest.raises(TypeError):
         cli._canonical_json(obj)
+
+
+def test_canonical_json_memo_does_not_outlive_the_call():
+    coeff = {"num": [[0, "1"]], "den": [[0, "1"]]}
+    tree = {"terms": [coeff, coeff, coeff, [coeff]]}
+    first = cli._canonical_json(tree)
+    coeff["num"] = [[1, "-2"]]
+    second = cli._canonical_json(tree)
+    assert first != second
+    assert second == json.dumps(tree, sort_keys=True, indent=1) + "\n"
+
+
+def test_canonical_json_reuses_a_shared_dict_text(monkeypatch):
+    calls = []
+    inner = cli._json_text
+
+    def counting(obj, indent, memo):
+        calls.append(obj)
+        return inner(obj, indent, memo)
+
+    monkeypatch.setattr(cli, "_json_text", counting)
+    coeff = {"num": [[0, "1"], [1, "-2"]], "den": [[0, "1"], [3, "1"]]}
+    cli._canonical_json({"terms": [coeff] * 10})
+    ten = len(calls)
+    calls.clear()
+    text = cli._canonical_json({"terms": [coeff] * 50})
+    # from its third occurrence on, each costs one call, which the memo answers
+    assert len(calls) == ten + 40
+    assert text == json.dumps({"terms": [coeff] * 50}, sort_keys=True, indent=1) + "\n"
+
+
+# -- to_json hands out one object per distinct coefficient ----------------------
+# the per-term to_json as it was before equal coefficients shared one object
+
+def _per_term_series_json(s):
+    v = s.validity
+    return {"n": s.n, "validity": None if v == INF else v,
+            "terms": [[list(a), c.to_json()] for a, c in s.sorted_terms()]}
+
+
+def _per_term_ncexpr_json(e):
+    v = e.validity
+    return {"n": e.n, "alphabet": e.alphabet() or "mode",
+            "validity": None if v == INF else v,
+            "terms": [{"word": [_symbol_json(s) for s in w],
+                       "coeff": _per_term_series_json(e.coeffs[w])}
+                      for w in e.words()]}
+
+
+def _per_term_tensor_json(t):
+    return {"order": t.order, "window": t.window,
+            "terms": [{"left": [_symbol_json(s) for s in l],
+                       "right": [_symbol_json(s) for s in r],
+                       "coeff": c.to_json()}
+                      for (l, r), c in t.sorted_terms()]}
+
+
+def _assert_one_object_per_value(pairs):
+    """pairs: (QRat, its JSON object) over one to_json call."""
+    by_value = {}
+    for c, j in pairs:
+        by_value.setdefault(c, []).append(j)
+    for objs in by_value.values():
+        assert all(j is objs[0] for j in objs)
+    assert len({id(objs[0]) for objs in by_value.values()}) == len(by_value)
+    return len(pairs) - len(by_value)   # terms that reused an object
+
+
+def _ncexpr_pairs(e, data):
+    return [(c, j[1]) for w, t in zip(e.words(), data["terms"])
+            for (_, c), j in zip(e.coeffs[w].sorted_terms(), t["coeff"]["terms"])]
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mode_expansion_to_json_shares_equal_coefficients(sign, n):
+    fn = weight_plus_closed if sign == "plus" else weight_minus_closed
+    w = fn(n, 4)
+    for e in (w.expr, mode_expand(w, 3)):
+        data = e.to_json()
+        assert data == _per_term_ncexpr_json(e)
+        reused = _assert_one_object_per_value(_ncexpr_pairs(e, data))
+    if n == 3:
+        assert reused > 0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_rmatrix_tensor_to_json_shares_equal_coefficients(order):
+    factors = assemble_R(order, 4, 3)
+    reused = 0
+    for t in (factors[0], factors[2], factors[3]):
+        data = t.to_json()
+        assert data == _per_term_tensor_json(t)
+        reused += _assert_one_object_per_value(
+            [(c, j["coeff"]) for (_, c), j in zip(t.sorted_terms(), data["terms"])])
+    assert reused > 0
+
+
+def test_expansion_series_to_json_shares_equal_coefficients():
+    q = qpow(1)
+    s = ExpansionSeries(2, {(0, 0): q, (1, 0): q + 1, (0, 1): q, (1, 1): qnum(3) / (1 + q)}, 4)
+    data = s.to_json()
+    assert data == _per_term_series_json(s)
+    pairs = [(c, j[1]) for (_, c), j in zip(s.sorted_terms(), data["terms"])]
+    assert _assert_one_object_per_value(pairs) == 1
 
 
 # -- bad inputs end with a message, not a traceback ------------------------------
@@ -531,6 +664,24 @@ def test_unwritable_output_path_exits_with_a_message(argv, tmp_path):
     assert proc.stderr.startswith("uqa22: ")
     assert "Traceback" not in proc.stderr
     assert not list(tmp_path.rglob(".tmp-*"))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_follow_the_umask(umask, tmp_path, capsys):
+    old = os.umask(umask)
+    try:
+        invoke(capsys, ["weight", "plus", "--n", "1", "--depth", "2",
+                        "--cache-dir", str(tmp_path / "cache"),
+                        "--out", str(tmp_path / "o.json")])
+        invoke(capsys, ["verify", "--suite", "kernels",
+                        "--report", str(tmp_path / "rep.json")])
+    finally:
+        os.umask(old)
+    written = [tmp_path / "o.json", tmp_path / "rep.json",
+               *(tmp_path / "cache").glob("*.json")]
+    assert len(written) == 3
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
 
 
 @pytest.mark.parametrize("suite", ["oracle", "interp"])
