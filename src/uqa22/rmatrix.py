@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .ncalg import (ModeSymbol, _symbol_from_json, _symbol_json, iota_word,
-                    principal_degree)
-from .qfield import QRat, qnum, qpow
-from .projection import mode_expand, weight_minus_closed, weight_plus_closed
+from .ncalg import (ModeSymbol, NCExpr, _symbol_from_json, _symbol_json,
+                    iota_word, principal_degree)
+from .qfield import QPoly, QRat, qnum, qpow
+from .projection import (_SYMBOL_TABLES, WeightExpr, mode_expand,
+                         weight_minus_closed, weight_plus_closed)
+from .series import ExpansionSeries, _coefficient_ring
 
 
 @dataclass(frozen=True)
@@ -76,35 +78,55 @@ def _coupling() -> QRat:
     return qpow(1) - qpow(-1)
 
 
-def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
-    """Order-m term of one R factor.
+def _reachable(expr: NCExpr, window: int) -> NCExpr:
+    """The terms of ``expr`` whose mode expansion can reach the window box.
 
-    The f leg of the order-m pairing term is projected with the weight
-    function for ``sign``; the e leg is its involution transport.  Both
-    legs therefore read off the same mode-coefficient table: for each
-    exponent vector in the window the stored words pair up, the left
-    words passing through the involution.
+    A symbol on z_i turns z^a into z^(a - m e_i) for each mode m of its
+    kind in ``_SYMBOL_TABLES``, so a word moves a_i by minus a sum of one
+    mode per symbol on z_i, and a_i alone when no symbol is on z_i.  A
+    term is kept if every a_i can land in [-window, window] that way.
 
-    The expansion depth is raised internally so that every extraction in
-    the window sits inside the validity bound.
+    Each series keeps its validity but loses terms below it, so the
+    result breaks the claim d(a) <= validity: it is only ever expanded
+    inside ``r_factor``.
     """
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    if m == 0:
-        return TensorExpr({((), ()): qnum(1)}, 0, window)
-    if sign == "+":
-        weight = weight_plus_closed
-    elif sign == "-":
-        weight = weight_minus_closed
-    else:
-        raise ValueError(f"unknown sign {sign!r}")
-    need = window * m * (m + 1) // 2
-    modes = mode_expand(weight(m, max(depth, need)), window)
+    n, coeffs = expr.n, {}
+    for word, series in expr.coeffs.items():
+        lo, hi = [-window] * n, [window] * n
+        for sym in word:
+            modes = _SYMBOL_TABLES[sym.kind][1](window)
+            lo[sym.var - 1] += min(modes)
+            hi[sym.var - 1] += max(modes)
+        box = list(zip(lo, hi))
+        coeffs[word] = ExpansionSeries._of(n, {
+            a: c for a, c in series.terms.items()
+            if all(l <= e <= h for e, (l, h) in zip(a, box))}, series.validity)
+    return NCExpr(n, coeffs, expr.validity)
+
+
+def _pair_sum(coeffs: dict, m: int) -> dict:
+    """The order-m pairing terms of the nonempty coefficients c keyed by
+    (word, exponent): the sum over exponents a of
+    (q - q^-1)^m / m! * c(w_l, a) * c(w_r, a), keyed by (iota(w_l), w_r).
+
+    Every c is lifted to c * D, D the lcm of their denominators, and the
+    lifted values go through ``_coefficient_ring``, one entry per
+    occurrence so that its L1 slot bound holds for the pair sums: the
+    pairs multiply and add as packed ints when every lifted value is an
+    integer Laurent polynomial, as ``QRat`` otherwise.  Each key's sum is
+    unpacked once and divided by D^2 with the coupling.
+    """
+    dens = {c.den for c in coeffs.values()}
+    d = one = QPoly.one()
+    for den in dens:
+        d = d * QRat(d, den).den
+    quotient = {den: QRat(d, den).num for den in dens}
+    lifted = {k: QRat(c.num * quotient[c.den], one, _canonical=True)
+              for k, c in coeffs.items()}
+    pack, _, unpack = _coefficient_ring(lifted, lifted)
     by_exp = {}
-    for word, series in modes.coeffs.items():
-        for a, c in series.terms.items():
-            if all(abs(e) <= window for e in a):
-                by_exp.setdefault(a, []).append((word, c))
+    for (word, a), c in lifted.items():
+        by_exp.setdefault(a, []).append((word, pack(c)))
     sums = {}
     for pairs in by_exp.values():
         for wl, cl in pairs:
@@ -114,11 +136,42 @@ def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
                 c = cl * cr
                 t = sums.get(key)
                 sums[key] = c if t is None else t + c
-    # the coupling (q-q^-1)^m/m! is a common factor: multiply it in once
-    # per key, the integer part first and 1/m! as a constant monomial
-    power, inv_fact = _coupling() ** m, qnum(Fraction(1, factorial(m)))
-    return TensorExpr({k: c * power * inv_fact for k, c in sums.items()},
-                      m, window)
+    scale = _coupling() ** m / QRat(d * d)
+    inv_fact = qnum(Fraction(1, factorial(m)))
+    # a zero sum, packed int or QRat, is falsy
+    return {k: unpack(v) * scale * inv_fact for k, v in sums.items() if v}
+
+
+def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
+    """Order-m term of one R factor.
+
+    The f leg of the order-m pairing term is projected with the weight
+    function for ``sign``; the e leg is its involution transport.  Both
+    legs therefore read off the same mode-coefficient table: for each
+    exponent vector in the window the stored words pair up, the left
+    words passing through the involution (``_pair_sum``).
+
+    The expansion depth is raised internally to window * m(m+1)/2, the
+    largest ratio degree in the window.  Only the weight terms that can
+    reach the window are mode-expanded (``_reachable``).
+    """
+    if sign == "+":
+        weight = weight_plus_closed
+    elif sign == "-":
+        weight = weight_minus_closed
+    else:
+        raise ValueError(f"unknown sign {sign!r}")
+    if m < 0:
+        raise ValueError("order must be nonnegative")
+    if m == 0:
+        return TensorExpr({((), ()): qnum(1)}, 0, window)
+    w = weight(m, max(depth, window * m * (m + 1) // 2))
+    modes = mode_expand(WeightExpr(_reachable(w.expr, window), w.orientation),
+                        window)
+    return TensorExpr(_pair_sum(
+        {(word, a): c for word, series in modes.coeffs.items()
+         for a, c in series.terms.items() if all(abs(e) <= window for e in a)},
+        m), m, window)
 
 
 def cartan_coeff(n: int) -> QRat:

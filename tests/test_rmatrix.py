@@ -1,15 +1,19 @@
 """Pairing-tensor factors, Cartan coefficients, assembly."""
 
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from uqa22.ncalg import ModeSymbol, principal_degree
-from uqa22.projection import mode_expand, weight_plus_recursive
+from uqa22.projection import (WeightExpr, mode_expand, weight_minus_closed,
+                              weight_plus_closed, weight_plus_recursive)
 from uqa22.qfield import qnum, qpow
 from uqa22.rmatrix import (
     H_TENSOR_H,
     TensorExpr,
+    _pair_sum,
+    _reachable,
     assemble_R,
     cartan_coeff,
     cartan_tensor,
@@ -143,19 +147,11 @@ def test_assemble_with_zero_effective_window():
     assert factors[3].terms == {((), ()): qnum(1)}
 
 
-@pytest.mark.parametrize("sign", "+-")
-@pytest.mark.parametrize("m", [1, 2])
-def test_r_factor_equals_the_per_pair_coupling_reference(sign, m):
+def _per_pair_reference(coeffs, m):
     # the loop that multiplied the coupling into every pairing product
-    from uqa22.projection import weight_minus_closed, weight_plus_closed
-    window, depth = 3, 4
-    weight = weight_plus_closed if sign == "+" else weight_minus_closed
-    modes = mode_expand(weight(m, max(depth, window * m * (m + 1) // 2)), window)
     by_exp = {}
-    for word, series in modes.coeffs.items():
-        for a, c in series.terms.items():
-            if all(abs(x) <= window for x in a):
-                by_exp.setdefault(a, []).append((word, c))
+    for (word, a), c in coeffs.items():
+        by_exp.setdefault(a, []).append((word, c))
     cm = coupling ** m / factorial(m)
     want = {}
     for pairs in by_exp.values():
@@ -163,8 +159,80 @@ def test_r_factor_equals_the_per_pair_coupling_reference(sign, m):
             left = tuple(ModeSymbol("e", -s.index) for s in wl)
             for wr, cr in pairs:
                 want[(left, wr)] = want.get((left, wr), qnum(0)) + cm * cl * cr
-    want = {k: v for k, v in want.items() if not v.is_zero()}
-    assert r_factor(sign, m, depth, window).terms == want
+    return {k: v for k, v in want.items() if not v.is_zero()}
+
+
+def _in_box(expr, window):
+    return {(word, a): c for word, series in expr.coeffs.items()
+            for a, c in series.terms.items()
+            if all(abs(x) <= window for x in a)}
+
+
+@pytest.mark.parametrize("sign", "+-")
+@pytest.mark.parametrize("m, window", [
+    pytest.param(1, 3, id="1"), pytest.param(2, 3, id="2"),
+    pytest.param(2, 8, id="2-window8"), pytest.param(3, 2, id="3-window2")])
+def test_r_factor_equals_the_per_pair_coupling_reference(sign, m, window):
+    depth = 4
+    weight = weight_plus_closed if sign == "+" else weight_minus_closed
+    modes = mode_expand(weight(m, max(depth, window * m * (m + 1) // 2)), window)
+    assert r_factor(sign, m, depth, window).terms \
+        == _per_pair_reference(_in_box(modes, window), m)
+
+
+def _synthetic_coefficients(c):
+    # two exponents share every word; the (f1, f2) pairs cancel, so one
+    # key sums to zero, and the other keys mix c with (1+q)-denominators
+    u = qnum(1) / (q + 1)
+    return {((f(1),), (0, 1)): c, ((f(2),), (0, 1)): u,
+            ((f(1),), (1, 0)): c, ((f(2),), (1, 0)): -u,
+            ((f(1), f(0)), (1, 0)): q * u * u + 2, ((f(0),), (2, 0)): c * q}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("c", [
+    # a Fraction numerator: the lifted values leave the integer ring
+    pytest.param(qnum(Fraction(1, 3)) * q - 1, id="fraction-numerator"),
+    # a cyclotomic factor other than 1+q: integer ring, D not a power of 1+q
+    pytest.param(q / (1 - q + q * q), id="den-1-q+q^2"),
+    # no listed factor: Euclid's gcd, and the monic q + 1/2 in D
+    pytest.param((q - 1) / (1 + 2 * q), id="den-1+2q"),
+])
+def test_pair_sum_equals_the_per_pair_reference_off_the_fast_case(m, c):
+    coeffs = _synthetic_coefficients(c)
+    got = _pair_sum(coeffs, m)
+    assert ((e(-1),), (f(2),)) not in got
+    assert got == _per_pair_reference(coeffs, m)
+
+
+def test_r_factor_rejects_an_unknown_sign_at_every_order():
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="unknown sign 'x'"):
+            r_factor("x", m, 2, 2)
+
+
+@pytest.mark.parametrize("weight", [weight_plus_closed, weight_minus_closed])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reachable_weight_expands_to_the_same_box_terms(n, weight):
+    # depth n(n+1) is r_factor's floor at window 2; the wider windows
+    # are truncated inside the box, which the pruning must not change
+    w = weight(n, n * (n + 1))
+    for window in range(1, 6):
+        pruned = WeightExpr(_reachable(w.expr, window), w.orientation)
+        assert _in_box(mode_expand(pruned, window), window) \
+            == _in_box(mode_expand(w, window), window)
+
+
+@pytest.mark.parametrize("sign, weight", [("+", weight_plus_closed),
+                                          ("-", weight_minus_closed)])
+def test_r_factor_leaves_the_weight_function_unpruned(sign, weight):
+    before = weight(2, 6).expr.to_json()
+    r_factor(sign, 2, 6, 2)
+    after = weight(2, 6).expr
+    assert after.to_json() == before
+    # the pruning drops terms of this weight, so a leak would show
+    size = sum(len(s.terms) for s in after.coeffs.values())
+    assert sum(len(s.terms) for s in _reachable(after, 2).coeffs.values()) < size
 
 
 @pytest.mark.parametrize("sign", "+-")
