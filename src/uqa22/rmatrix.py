@@ -123,7 +123,7 @@ def _pair_sum(coeffs: dict, m: int) -> dict:
     quotient = {den: QRat(d, den).num for den in dens}
     lifted = {k: QRat(c.num * quotient[c.den], one, _canonical=True)
               for k, c in coeffs.items()}
-    pack, _, unpack = _coefficient_ring(lifted, lifted)
+    (pack, _), unpack = _coefficient_ring([lifted, lifted])
     by_exp = {}
     for (word, a), c in lifted.items():
         by_exp.setdefault(a, []).append((word, pack(c)))

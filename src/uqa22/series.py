@@ -47,31 +47,39 @@ def unit_vec(n: int, i: int, value: int = 1):
 
 # -- packed products ---------------------------------------------------------
 
-def _key_packing(n: int, x: dict, y: dict):
-    """(pack, unpack) between exponent vectors and int keys for a product
-    of the term dicts x and y.
+def _key_packing(n: int, operands: list):
+    """(pack, unpack, degree) between exponent vectors and int keys for a
+    product of the term dicts ``operands``.
 
-    The key of a is sum_i a_i * 2^(w*i).  With M the largest |exponent|
-    in x or y and w = bit_length(M) + 2, every digit of a sum of two
-    keys, a_i + b_i, has |a_i + b_i| <= 2M < 2^(w-1) = h.  Adding
-    sum_i h * 2^(w*i) turns each digit into a_i + b_i + h in [0, 2^w),
-    an ordinary base-2^w numeral, so key(a) + key(b) decodes to a + b
-    and distinct sums have distinct keys.
+    The key of a is sum_i a_i * 2^(w*(i-1)) + d(a) * 2^(w*n): the digits
+    of a, then its ratio degree on top.  Both parts are linear in a, so
+    the key of a sum of vectors is the sum of their keys.  With M the sum
+    over the operands of each one's largest |exponent| and
+    w = bit_length(M) + 1, every lower digit of a sum of at most one key
+    per operand has |digit| <= M < 2^(w-1) = h.  Adding
+    sum_i h * 2^(w*(i-1)) turns each lower digit into digit + h in
+    [0, 2^w), an ordinary base-2^w numeral, so the lower digits decode to
+    the sum of the vectors (``unpack``), what lies above them is its
+    ratio degree (``degree``), and distinct sums have distinct keys.
     """
-    m = max(map(abs, chain.from_iterable(chain(x, y))), default=0)
-    w = m.bit_length() + 2
-    shifts = range(0, w * n, w)
+    m = sum([max(map(abs, chain.from_iterable(t)), default=0) for t in operands])
+    w = m.bit_length() + 1
+    shifts, top = range(0, w * n, w), w * n
+    weights = [(1 << sh) + (i << top) for i, sh in enumerate(shifts, 1)]
     half, mask = 1 << (w - 1), (1 << w) - 1
     bias = sum(half << sh for sh in shifts)
 
     def pack(a):
-        return sum(map(operator.lshift, a, shifts))
+        return sum(map(operator.mul, a, weights))
 
     def unpack(k):
         k += bias
         return tuple([((k >> sh) & mask) - half for sh in shifts])
 
-    return pack, unpack
+    def degree(k):
+        return (k + bias) >> top
+
+    return pack, unpack, degree
 
 
 def _int_laurent(terms: dict):
@@ -93,41 +101,42 @@ def _identity(c):
     return c
 
 
-def _coefficient_ring(x: dict, y: dict):
-    """(pack_x, pack_y, unpack) of the coefficient ring of a product of
-    the nonempty term dicts x and y.
+def _coefficient_ring(operands: list):
+    """([pack per operand], unpack) of the coefficient ring of a product
+    of the nonempty term dicts ``operands``.
 
-    When every coefficient of both is an integer Laurent polynomial the
-    ring is Z, by Kronecker substitution: a coefficient q^off * P(q) of
-    an operand whose least q-exponent is b packs to the int
-    P(2^s) * 2^(s*(off - b)), the value at q = 2^s of the polynomial
+    When every coefficient of every operand is an integer Laurent
+    polynomial the ring is Z, by Kronecker substitution: a coefficient
+    q^off * P(q) of an operand whose least q-exponent is b packs to the
+    int P(2^s) * 2^(s*(off - b)), the value at q = 2^s of the polynomial
     q^(off-b) * P(q), whose exponents are nonnegative.  Packing is a ring
     homomorphism, so a sum of packed products is the packed value of the
-    polynomial sum, whose exponents are counted from b_x + b_y.
+    polynomial sum, whose exponents are counted from the sum of the b.
 
-    Slot width: each coefficient c_k of an output term is a sum of
-    products alpha * beta of one integer coefficient of x and one of y,
-    each such pair used at most once, so |c_k| <= L1(x) * L1(y) < 2^(s-1)
-    = h for s = bit_length(L1(x) * L1(y)) + 1.  Adding h * 2^(s*k) for
-    every slot k turns each digit into c_k + h in (0, 2^s): an ordinary
-    base-2^s numeral, so the digits decode exactly, and a packed value
-    is 0 only for the zero polynomial.  Its lowest nonzero slot is the
-    one holding its lowest set bit.  With c_D its top nonzero
-    coefficient the lower slots add up to less than 2^(s*D-1) in
-    absolute value, so 2^(s*D-1) < |V| < 2^(s*(D+1)-1) and
-    D = bit_length(V) // s.
+    Slot width: each coefficient c_k of a term of the product of any
+    operands x_1, ..., x_j among them, truncated or not, is a sum of
+    products of one integer coefficient of each x_i, each such tuple used
+    at most once, so |c_k| <= L1(x_1) * ... * L1(x_j) <= P, the product of
+    every operand's L1 (each is at least 1), and P < 2^(s-1) = h for
+    s = bit_length(P) + 1.  Adding h * 2^(s*k) for every slot k turns
+    each digit into c_k + h in (0, 2^s): an ordinary base-2^s numeral, so
+    the digits decode exactly, and a packed value, final or partial, is 0
+    only for the zero polynomial.  Its lowest nonzero slot is the one
+    holding its lowest set bit.  With c_D its top nonzero coefficient the
+    lower slots add up to less than 2^(s*D-1) in absolute value, so
+    2^(s*D-1) < |V| < 2^(s*(D+1)-1) and D = bit_length(V) // s.
 
     Otherwise the ring is Q(q) itself and the coefficients stay ``QRat``.
     """
-    nx, ny = _int_laurent(x), _int_laurent(y)
-    if nx is None or ny is None:
-        return _identity, _identity, _identity
-    (bx, hx, lx), (by, hy, ly) = nx, ny
-    s = (lx * ly).bit_length() + 1
+    laurent = [_int_laurent(t) for t in operands]
+    if None in laurent:
+        return [_identity] * len(operands), _identity
+    s = math.prod([l1 for _, _, l1 in laurent]).bit_length() + 1
     half, mask = 1 << (s - 1), (1 << s) - 1
     # one slot per exponent of the widest packed product
-    bias = half * ((1 << (s * (hx - bx + hy - by - 1))) - 1) // mask
-    base, one = bx + by, QPoly.one()
+    slots = sum([h - b - 1 for b, h, _ in laurent]) + 1
+    bias = half * ((1 << (s * slots)) - 1) // mask
+    base, one = sum([b for b, _, _ in laurent]), QPoly.one()
 
     def packer(b):
         def pack(c):
@@ -147,7 +156,50 @@ def _coefficient_ring(x: dict, y: dict):
                             range(s * lo, s * (v.bit_length() // s + 1), s)])
         return QRat(num, one, _canonical=True)
 
-    return packer(bx), packer(by), unpack
+    return [packer(b) for b, _, _ in laurent], unpack
+
+
+def _product(n: int, operands: list) -> "ExpansionSeries":
+    """Truncated product of the nonempty series ``operands``, left to
+    right.  Each step keeps every pair with d(a) + d(b) <= validity, the
+    bound being min(v_left + least degree right, v_right + least degree
+    left).
+
+    The coefficient ring and the key packing are chosen once for the
+    whole chain (``_coefficient_ring``, ``_key_packing``) and each operand
+    is packed once.  Each step sums its pairs over the packed values,
+    with the next operand sorted by ratio degree, which each key carries,
+    so that each row stops at the bound, and drops its zero sums; the
+    terms are decoded once, at the end.  A product of nonempty series is
+    nonempty, because its least-degree part is the product of theirs, so
+    every step has a least degree on both sides.
+    """
+    dicts = [s.terms for s in operands]
+    pack_key, unpack_key, degree = _key_packing(n, dicts)
+    packs, unpack = _coefficient_ring(dicts)
+    first = operands[0]
+    sums = {pack_key(a): packs[0](c) for a, c in first.terms.items()}
+    validity = first.validity
+    for right, pack in zip(operands[1:], packs[1:]):
+        # a zero sum, packed int or QRat, is falsy
+        rows = [(degree(k), k, c) for k, c in sums.items() if c]
+        inner = sorted([(degree(k), k, pack(c)) for k, c in
+                        zip(map(pack_key, right.terms), right.terms.values())],
+                       key=_first)
+        validity = min(validity + inner[0][0],
+                       right.validity + min(map(_first, rows)))
+        sums = {}
+        for dega, ka, ca in rows:
+            room = validity - dega
+            for degb, kb, cb in inner:
+                if degb > room:
+                    break
+                key = ka + kb
+                c = ca * cb
+                s = sums.get(key)
+                sums[key] = c if s is None else s + c
+    return ExpansionSeries._of(
+        n, {unpack_key(k): unpack(c) for k, c in sums.items() if c}, validity)
 
 
 class ExpansionSeries:
@@ -251,13 +303,11 @@ class ExpansionSeries:
     def mul(self, other: "ExpansionSeries") -> "ExpansionSeries":
         """Truncated product: every pair with d(a) + d(b) <= validity.
 
-        The pairs are summed in one loop whose coefficient ring is chosen
-        per product.  When every coefficient of both operands is an
-        integer Laurent polynomial it is packed into one int
-        (``_coefficient_ring``); otherwise the coefficients stay ``QRat``.
-        Exponent vectors are packed into int keys either way, and the
-        inner operand is sorted by ratio degree so that each row stops at
-        the validity bound.
+        A single exact term shifts and scales the other operand
+        (``_shift_scale``).  Otherwise the pairs are summed by
+        ``_product``, whose coefficient ring is chosen per product: packed
+        ints when every coefficient of both operands is an integer Laurent
+        polynomial, ``QRat`` otherwise.
         """
         self._check_mate(other)
         if other.validity == INF and len(other.terms) == 1:
@@ -266,33 +316,11 @@ class ExpansionSeries:
         if self.validity == INF and len(self.terms) == 1:
             (a, c), = self.terms.items()
             return other._shift_scale(a, c)
-        x, y = self.terms, other.terms
-        if not x or not y:
+        if not self.terms or not other.terms:
             va = self.validity + other.min_degree_bound()
             vb = other.validity + self.min_degree_bound()
             return ExpansionSeries._of(self.n, {}, min(va, vb))
-        pack_key, unpack_key = _key_packing(self.n, x, y)
-        pack_x, pack_y, unpack = _coefficient_ring(x, y)
-        outer = [(ratio_degree(a), pack_key(a), pack_x(c)) for a, c in x.items()]
-        inner = sorted([(ratio_degree(b), pack_key(b), pack_y(c))
-                        for b, c in y.items()], key=_first)
-        # the least degrees are the min_degree_bound of nonempty operands
-        va = self.validity + inner[0][0]
-        vb = other.validity + min(map(_first, outer))
-        validity = min(va, vb)
-        sums = {}
-        for dega, ka, ca in outer:
-            room = validity - dega
-            for degb, kb, cb in inner:
-                if degb > room:
-                    break
-                key = ka + kb
-                c = ca * cb
-                s = sums.get(key)
-                sums[key] = c if s is None else s + c
-        # a zero sum, packed int or QRat, is falsy
-        terms = {unpack_key(k): unpack(c) for k, c in sums.items() if c}
-        return ExpansionSeries._of(self.n, terms, validity)
+        return _product(self.n, [self, other])
 
     __mul__ = mul
 
@@ -501,13 +529,20 @@ class FactoredRational:
 
         The validity bound is d(leading monomial) + depth; with no
         inverse factors the expansion is exact (infinite validity).
+
+        The term scalar * z^monomial and the factor series are multiplied
+        left to right in one packed chain (``_product``), which gives the
+        values and the validity of the pairwise products
+        monomial * f_1 * f_2 * ... .
         """
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        out = ExpansionSeries.monomial(self.n, self.monomial, self.scalar)
-        for u, i, v, j, m in self.factors:
-            out = out.mul(self._factor_series(u, i, v, j, m, depth))
-        return out
+        head = ExpansionSeries.monomial(self.n, self.monomial, self.scalar)
+        if not self.factors:
+            return head
+        factors = [self._factor_series(u, i, v, j, m, depth)
+                   for u, i, v, j, m in self.factors]
+        return _product(self.n, [head, *factors])
 
     def eval_exact(self, q0, zvals) -> Fraction:
         """Exact value at rational q0 and z values; raises on a pole.

@@ -628,6 +628,7 @@ def test_expansion_series_to_json_shares_equal_coefficients():
      "--format latex-summary is not cached and reads no --no-cache"),
     ("rmatrix --cartan-order -1", "--cartan-order must be at least 0"),
     ("verify --suite enumeration --n 11", "brute-force enumeration is capped at n = 10"),
+    ("verify --suite interp --n 7", "the interp suite is capped at n = 6"),
     ("verify --suite modes --window 1", "--window must be at least 2"),
     ("verify --suite kernels --n 5", "suite 'kernels' does not read --n"),
     ("verify --suite duality --depth 9", "suite 'duality' does not read --depth"),

@@ -441,6 +441,67 @@ def test_packed_product_edge_cases(tx, vx, ty, vy):
     _assert_same_series(y.mul(x), _reference_mul(y, x))
 
 
+# -- the packed chain of expand against the pairwise chain -------------------
+
+def _pairwise_expand(fr, depth):
+    """FactoredRational.expand as one product per factor, starting from
+    the scalar times the monomial."""
+    out = ExpansionSeries.monomial(fr.n, fr.monomial, fr.scalar)
+    for u, i, v, j, m in fr.factors:
+        out = out.mul(fr._factor_series(u, i, v, j, m, depth))
+    return out
+
+
+# +-q^k keeps every factor series on the integer ring; a 2 or a -3, a 1+q
+# or a q-1 in an inverse factor, or a Fraction puts the chain on the QRat
+# ring
+_binomial_coeffs = st.one_of(
+    st.builds(qpow, st.integers(min_value=-3, max_value=3),
+              st.sampled_from([1, -1, 2, -3])),
+    st.sampled_from([qnum(1) + q, q - qnum(1), qnum(Fraction(2, 3)),
+                     qpow(1, Fraction(-1, 2))]))
+# a scalar with a denominator puts the chain on the QRat ring; a zero
+# scalar makes the expansion empty
+_chain_scalars = st.one_of(_binomial_coeffs, st.sampled_from([
+    qnum(0), qnum(Fraction(5, 7)), qnum(1) / (qnum(1) + q),
+    qpow(-2, 3) / (q - qnum(1))]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_expand_equals_the_pairwise_chain(data):
+    n = data.draw(st.integers(min_value=2, max_value=4), label="n")
+    depth = data.draw(st.integers(min_value=0, max_value=8), label="depth")
+    index = st.integers(min_value=1, max_value=n)
+    factors = data.draw(st.lists(st.tuples(
+        _binomial_coeffs, index, _binomial_coeffs, index,
+        st.sampled_from([-3, -2, -1, 1, 2, 3])).filter(lambda f: f[1] != f[3]),
+        max_size=5), label="factors")
+    if factors and data.draw(st.booleans(), label="cancel"):
+        # a factor and its inverse merge away in the constructor
+        u, i, v, j, m = data.draw(st.sampled_from(factors))
+        factors.append((u, i, v, j, -m))
+    mono = data.draw(st.tuples(*[st.integers(min_value=-3, max_value=3)] * n))
+    fr = FactoredRational(n, data.draw(_chain_scalars), mono, factors)
+    _assert_same_series(fr.expand(depth), _pairwise_expand(fr, depth))
+
+
+@pytest.mark.parametrize("scalar, factors", [
+    (qnum(0), [(qnum(1), 1, q, 2, -2), (q, 1, qnum(1), 3, 1)]),
+    (qnum(3), [(qnum(1), 1, q, 2, -2), (qnum(1), 1, q, 2, 2)]),
+    (qnum(1) / (qnum(1) + q), [(qnum(1), 1, q, 3, -1), (qnum(2), 2, q, 3, -3),
+                               (qnum(1), 1, qnum(-1), 2, 2)]),
+    # (z1 + z2)(z1 - z2): the z1 z2 terms of the partial product cancel
+    (qnum(1), [(qnum(1), 1, qnum(1), 2, 1), (qnum(1), 1, qnum(-1), 2, 1),
+               (q, 2, qnum(1), 3, -2)]),
+], ids=["zero-scalar", "factors-merge-away", "denominator-scalar",
+        "partial-terms-cancel"])
+def test_expand_equals_the_pairwise_chain_at_the_edges(scalar, factors):
+    fr = FactoredRational(3, scalar, (1, 0, -1), factors)
+    for depth in (0, 3, 8):
+        _assert_same_series(fr.expand(depth), _pairwise_expand(fr, depth))
+
+
 def _reference_eval_exact(fr, q0, zvals):
     """FactoredRational.eval_exact written one Fraction operation per
     factor, with the zero base tracked by a flag."""

@@ -1,13 +1,14 @@
 """Verification suites: determinism, reporting, brute-force reference."""
 
 import collections
+import itertools
 import json
 import random
 
 import pytest
 
 from uqa22 import verify
-from uqa22.projection import PLUS
+from uqa22.projection import MINUS, PLUS
 from uqa22.qfield import qpow
 from uqa22.verify import SUITE_NAMES, brute_admissible, run_suite
 
@@ -22,6 +23,34 @@ def test_brute_admissible_examples():
     assert brute_admissible(2, 1, "minus") == [((1,), (2,))]
     with pytest.raises(ValueError):
         brute_admissible(11, 2, PLUS)
+
+
+def _full_filter(n, r, orientation):
+    """Every ordered disjoint pair (I, J), both predicates tested per pair."""
+    if r == 0:
+        return [((), ())]
+    out = []
+    for I in itertools.permutations(range(1, n + 1), r):
+        rest = [x for x in range(1, n + 1) if x not in I]
+        for J in itertools.permutations(rest, r):
+            if orientation == PLUS:
+                ok = all(J[i] > J[i + 1] for i in range(r - 1)) \
+                    and all(j > i for i, j in zip(I, J))
+            else:
+                ok = all(I[i] < I[i + 1] for i in range(r - 1)) \
+                    and all(i < j for i, j in zip(I, J))
+            if ok:
+                out.append((I, J))
+    return out
+
+
+@pytest.mark.parametrize("orientation", [PLUS, MINUS])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_brute_admissible_equals_the_full_filter(n, orientation):
+    for r in range(n + 1):
+        got, want = brute_admissible(n, r, orientation), _full_filter(n, r, orientation)
+        assert set(got) == set(want)
+        assert sorted(got) == sorted(want)
 
 
 @pytest.mark.parametrize("name", [n for n in SUITE_NAMES if n != "goldens"])
