@@ -113,7 +113,7 @@ class NCExpr:
                     raise ValueError("expression mixes alphabets")
                 alphabet = a
             vals.append(s.validity)
-            if s.terms:
+            if s:
                 kept[w] = s
         v = min(vals) if vals else INF
         self.validity = v if validity is None else min(v, validity)
@@ -131,7 +131,7 @@ class NCExpr:
 
     @classmethod
     def from_word(cls, n: int, word, coeff=None) -> "NCExpr":
-        return cls(n, {tuple(word): coeff or ExpansionSeries.one(n)})
+        return cls(n, {tuple(word): ExpansionSeries.one(n) if coeff is None else coeff})
 
     # -- introspection ----------------------------------------------------
 
@@ -226,27 +226,35 @@ class NCExpr:
 
     # -- comparison ------------------------------------------------------
 
-    def equal_up_to(self, other: "NCExpr", bound) -> bool:
-        """True iff every word's coefficients agree at all d <= bound.
+    def first_difference(self, other: "NCExpr", bound):
+        """(word, a, own coefficient, other's coefficient) at the least word,
+        in ``words`` order, whose coefficients differ at some d(a) <= bound,
+        with their least such exponent a (``ExpansionSeries.first_difference``);
+        None when every word's coefficients agree there.
 
         The bound must not exceed either header validity.
         """
         self._check_mate(other)
         if bound > min(self.validity, other.validity):
             raise ValueError("insufficient truncation")
+        first = None
         for w in self.coeffs.keys() | other.coeffs.keys():
-            if not self.coefficient(w).equal_up_to(other.coefficient(w), bound):
-                return False
-        return True
+            if first is not None and (len(w), w) > (len(first[0]), first[0]):
+                continue
+            diff = self.coefficient(w).first_difference(other.coefficient(w), bound)
+            if diff is not None:
+                first = (w, *diff)
+        return first
+
+    def equal_up_to(self, other: "NCExpr", bound) -> bool:
+        """True iff every word's coefficients agree at all d <= bound."""
+        return self.first_difference(other, bound) is None
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        bits = []
-        for w in self.words():
-            name = "1" if not w else "*".join(_symbol_str(s) for s in w)
-            bits.append(f"[{self.coeffs[w]}] {name}")
-        return " + ".join(bits)
+        return " + ".join(f"[{self.coeffs[w]}] {word_str(w)}"
+                          for w in self.words())
 
     def to_json(self):
         v = self.validity
@@ -270,6 +278,11 @@ class NCExpr:
             coeffs[w] = ExpansionSeries.from_json(item["coeff"])
         v = data["validity"]
         return cls(data["n"], coeffs, INF if v is None else v)
+
+
+def word_str(word) -> str:
+    """A word as its symbols joined by *, the empty word as 1."""
+    return "*".join(map(_symbol_str, word)) or "1"
 
 
 def _symbol_str(s) -> str:

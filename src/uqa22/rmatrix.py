@@ -98,7 +98,7 @@ def _reachable(expr: NCExpr, window: int) -> NCExpr:
             lo[sym.var - 1] += min(modes)
             hi[sym.var - 1] += max(modes)
         box = list(zip(lo, hi))
-        coeffs[word] = ExpansionSeries._of(n, {
+        coeffs[word] = ExpansionSeries(n, {
             a: c for a, c in series.terms.items()
             if all(l <= e <= h for e, (l, h) in zip(a, box))}, series.validity)
     return NCExpr(n, coeffs, expr.validity)

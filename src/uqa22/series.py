@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, count
 from math import comb
 
-from .qfield import ONE, ZERO, QPoly, QRat, _as_fraction, qnum
+from .qfield import _POLY_ONE, ONE, ZERO, QPoly, QRat, _as_fraction, qnum
 
 INF = math.inf
 _first = operator.itemgetter(0)
@@ -45,56 +47,131 @@ def unit_vec(n: int, i: int, value: int = 1):
     return tuple(value if k == i - 1 else 0 for k in range(n))
 
 
-# -- packed products ---------------------------------------------------------
+# -- packed storage ----------------------------------------------------------
+#
+# A series keeps each nonzero term as packed key -> coefficient.  The key
+# packs the exponent vector (``_key_layout``).  The coefficient is a packed
+# int (``_pack_coeff``) when every coefficient of the series is an integer
+# Laurent polynomial, and the ``QRat`` itself otherwise.
 
-def _key_packing(n: int, operands: list):
-    """(pack, unpack, degree) between exponent vectors and int keys for a
-    product of the term dicts ``operands``.
+_KEY_WIDTH = 16     # default key digit width: every |exponent| < 2^15
+_SLOT_WIDTH = 20    # default slot width: every |coefficient| < 2^19
+
+
+def _width(default: int, bound: int) -> int:
+    """The least width w >= ``default`` with bound < 2^(w-1)."""
+    return default if bound < 1 << (default - 1) else bound.bit_length() + 1
+
+
+@lru_cache(maxsize=None)
+def _key_layout(n: int, w: int):
+    """(weights, shifts, top, bias, half, mask) of the keys of digit width w.
 
     The key of a is sum_i a_i * 2^(w*(i-1)) + d(a) * 2^(w*n): the digits
     of a, then its ratio degree on top.  Both parts are linear in a, so
-    the key of a sum of vectors is the sum of their keys.  With M the sum
-    over the operands of each one's largest |exponent| and
-    w = bit_length(M) + 1, every lower digit of a sum of at most one key
-    per operand has |digit| <= M < 2^(w-1) = h.  Adding
-    sum_i h * 2^(w*(i-1)) turns each lower digit into digit + h in
-    [0, 2^w), an ordinary base-2^w numeral, so the lower digits decode to
-    the sum of the vectors (``unpack``), what lies above them is its
-    ratio degree (``degree``), and distinct sums have distinct keys.
+    the key of a sum of vectors is the sum of their keys.  While every
+    |a_i| < 2^(w-1) = h, adding bias = sum_i h * 2^(w*(i-1)) turns each
+    lower digit into a_i + h in [0, 2^w), an ordinary base-2^w numeral.
+    So the lower digits decode to a (``_unpack_key``), what lies above
+    them is d(a) (``_key_degree``), and keys are ordered as the tuples
+    (d(a), a_n, ..., a_1): the keys of degree at most d are exactly those
+    below ``_key_limit(d)``.
     """
-    m = sum([max(map(abs, chain.from_iterable(t)), default=0) for t in operands])
-    w = m.bit_length() + 1
-    shifts, top = range(0, w * n, w), w * n
-    weights = [(1 << sh) + (i << top) for i, sh in enumerate(shifts, 1)]
-    half, mask = 1 << (w - 1), (1 << w) - 1
+    shifts = tuple(range(0, w * n, w))
+    top = w * n
+    weights = tuple((1 << sh) + (i << top) for i, sh in enumerate(shifts, 1))
+    half = 1 << (w - 1)
     bias = sum(half << sh for sh in shifts)
-
-    def pack(a):
-        return sum(map(operator.mul, a, weights))
-
-    def unpack(k):
-        k += bias
-        return tuple([((k >> sh) & mask) - half for sh in shifts])
-
-    def degree(k):
-        return (k + bias) >> top
-
-    return pack, unpack, degree
+    return weights, shifts, top, bias, half, (1 << w) - 1
 
 
-def _int_laurent(terms: dict):
-    """(least q-exponent, 1 + greatest q-exponent, L1) of the coefficients
+def _pack_key(a, layout) -> int:
+    return sum(map(operator.mul, a, layout[0]))
+
+
+def _unpack_key(k: int, layout) -> tuple:
+    _, shifts, _, bias, half, mask = layout
+    k += bias
+    return tuple([((k >> sh) & mask) - half for sh in shifts])
+
+
+def _key_degree(k: int, layout) -> int:
+    return (k + layout[3]) >> layout[2]
+
+
+def _key_limit(d, layout):
+    """The least key of ratio degree above d; infinite for an infinite d."""
+    return d if d == INF else ((d + 1) << layout[2]) - layout[3]
+
+
+def _int_laurent(coeffs):
+    """(least q-exponent, L1, M) of the nonzero ``QRat`` values ``coeffs``
     when each one is an integer Laurent polynomial, else None.  L1 is the
-    sum of the absolute values of every integer coefficient of every
-    term."""
-    nums = [c.num for c in terms.values() if c.den.is_one()]
-    if len(nums) < len(terms):
+    sum and M the largest of the absolute values of every integer
+    coefficient of every value; for no value all three are 0."""
+    nums = [c.num for c in coeffs if c.den.is_one()]
+    if len(nums) < len(coeffs):
         return None
     l1 = sum([sum(map(abs, p.coeffs)) for p in nums])
     if type(l1) is not int:
         return None    # a Fraction coefficient makes the sum a Fraction
-    return (min([p.off for p in nums]),
-            max([p.off + len(p.coeffs) for p in nums]), l1)
+    return (min([p.off for p in nums], default=0), l1,
+            max([max(map(abs, p.coeffs)) for p in nums], default=0))
+
+
+def _encode(coeffs, lo: int, s: int) -> int:
+    v = 0
+    for a in reversed(coeffs):
+        v = (v << s) + a
+    return v << (s * lo)
+
+
+def _pack_coeff(c: QRat, s: int, b: int) -> int:
+    """Kronecker substitution at slot width s and q-base b <= the least
+    exponent of c: c = q^off * P(q) packs to the int P(2^s) * 2^(s*(off-b)),
+    the value at q = 2^s of q^(off-b) * P(q).
+
+    Packing is a ring homomorphism, so sums and products of packed values
+    are the packed sums and products, the bases of a product adding up.
+    While every coefficient c_k has |c_k| < 2^(s-1) = h, adding h * 2^(s*k)
+    for every slot k turns each digit into c_k + h in (0, 2^s), an
+    ordinary base-2^s numeral: the slots decode exactly (``_slots``), and a
+    packed value is 0 only for the zero polynomial.  A series keeps M, a
+    bound on its largest |c_k|, below h, and carries it through sums and
+    products with L1, a bound on the sum of |c_k| over every slot of every
+    term (``_sum_bounds``, ``_product_bounds``).
+    """
+    num = c.num
+    return _encode(num.coeffs, num.off - b, s)
+
+
+@lru_cache(maxsize=None)
+def _slot_bias(s: int, top: int) -> int:
+    """sum_k 2^(s-1) * 2^(s*k) over the slots k = 0..top."""
+    return ((1 << (s * (top + 1))) - 1) // ((1 << s) - 1) << (s - 1)
+
+
+def _slots(v: int, s: int):
+    """(lo, [c_lo, ..., c_D]): the slots of the nonzero packed value v,
+    from its lowest nonzero slot to its top one.
+
+    The lowest nonzero slot holds the lowest set bit of v.  With c_D the
+    top nonzero coefficient the lower slots add up to less than
+    2^(s*D-1) in absolute value, so 2^(s*D-1) < |v| < 2^(s*(D+1)-1) and
+    D = bit_length(v) // s.
+    """
+    top = v.bit_length() // s
+    lo = ((v & -v).bit_length() - 1) // s
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    v += _slot_bias(s, top)
+    return lo, [((v >> sh) & mask) - half for sh in range(s * lo, s * top + 1, s)]
+
+
+def _unpack_coeff(v: int, s: int, b: int) -> QRat:
+    lo, coeffs = _slots(v, s)
+    num = QPoly.__new__(QPoly)
+    num.off, num.coeffs = b + lo, tuple(coeffs)
+    return QRat(num, _POLY_ONE, _canonical=True)
 
 
 def _identity(c):
@@ -102,61 +179,115 @@ def _identity(c):
 
 
 def _coefficient_ring(operands: list):
-    """([pack per operand], unpack) of the coefficient ring of a product
-    of the nonempty term dicts ``operands``.
-
-    When every coefficient of every operand is an integer Laurent
-    polynomial the ring is Z, by Kronecker substitution: a coefficient
-    q^off * P(q) of an operand whose least q-exponent is b packs to the
-    int P(2^s) * 2^(s*(off - b)), the value at q = 2^s of the polynomial
-    q^(off-b) * P(q), whose exponents are nonnegative.  Packing is a ring
-    homomorphism, so a sum of packed products is the packed value of the
-    polynomial sum, whose exponents are counted from the sum of the b.
-
-    Slot width: each coefficient c_k of a term of the product of any
-    operands x_1, ..., x_j among them, truncated or not, is a sum of
-    products of one integer coefficient of each x_i, each such tuple used
-    at most once, so |c_k| <= L1(x_1) * ... * L1(x_j) <= P, the product of
-    every operand's L1 (each is at least 1), and P < 2^(s-1) = h for
-    s = bit_length(P) + 1.  Adding h * 2^(s*k) for every slot k turns
-    each digit into c_k + h in (0, 2^s): an ordinary base-2^s numeral, so
-    the digits decode exactly, and a packed value, final or partial, is 0
-    only for the zero polynomial.  Its lowest nonzero slot is the one
-    holding its lowest set bit.  With c_D its top nonzero coefficient the
-    lower slots add up to less than 2^(s*D-1) in absolute value, so
-    2^(s*D-1) < |V| < 2^(s*(D+1)-1) and D = bit_length(V) // s.
-
-    Otherwise the ring is Q(q) itself and the coefficients stay ``QRat``.
-    """
-    laurent = [_int_laurent(t) for t in operands]
+    """([pack per operand], unpack) for sums of products of one value of
+    each of the ``QRat`` dicts ``operands``: packed ints
+    (``_pack_coeff``) at slot width bit_length(product of their L1) + 1
+    when every value is an integer Laurent polynomial, the values
+    themselves otherwise."""
+    laurent = [_int_laurent(t.values()) for t in operands]
     if None in laurent:
         return [_identity] * len(operands), _identity
-    s = math.prod([l1 for _, _, l1 in laurent]).bit_length() + 1
-    half, mask = 1 << (s - 1), (1 << s) - 1
-    # one slot per exponent of the widest packed product
-    slots = sum([h - b - 1 for b, h, _ in laurent]) + 1
-    bias = half * ((1 << (s * slots)) - 1) // mask
-    base, one = sum([b for b, _, _ in laurent]), QPoly.one()
+    s = math.prod([l1 for _, l1, _ in laurent]).bit_length() + 1
+    base = sum([b for b, _, _ in laurent])
+    return ([lambda c, b=b: _pack_coeff(c, s, b) for b, _, _ in laurent],
+            lambda v: _unpack_coeff(v, s, base))
 
-    def packer(b):
-        def pack(c):
-            num = c.num
-            v = 0
-            for a in reversed(num.coeffs):
-                v = (v << s) + a
-            return v << (s * (num.off - b))
-        return pack
 
-    def unpack(v):
-        lo = ((v & -v).bit_length() - 1) // s
-        w = v + bias
-        num = QPoly.__new__(QPoly)
-        num.off = base + lo
-        num.coeffs = tuple([((w >> sh) & mask) - half for sh in
-                            range(s * lo, s * (v.bit_length() // s + 1), s)])
-        return QRat(num, one, _canonical=True)
+def _rebased(coeffs: dict, s: int, k: int) -> dict:
+    """Packed values k slots up: the same polynomials at a q-base k lower."""
+    if not k:
+        return coeffs
+    sh = s * k
+    return {key: v << sh for key, v in coeffs.items()}
 
-    return [packer(b) for b, _, _ in laurent], unpack
+
+def _make(n, validity, coeffs, w, e, s, b, l1, m, exact=False):
+    """A series over the stored ``coeffs`` (nonzero, inside the bound);
+    ``exact`` tells that ``l1`` and ``m`` are the L1 and M themselves."""
+    out = ExpansionSeries.__new__(ExpansionSeries)
+    out.n, out.validity, out._c, out._terms = n, validity, coeffs, None
+    out._w, out._e, out._s, out._b = w, e, s, b
+    out._l1, out._m, out._exact = l1, m, exact
+    return out
+
+
+def _product_bounds(operands):
+    """(e, peak, L1, M) of the left-to-right product of ``operands``:
+    bounds on its largest |exponent|, on the largest |slot| of any operand
+    or partial sum on the way, and on the L1 and M of the result.
+
+    A slot of a partial sum of the pairs of x * y at a term sums products
+    x_i * y_j of slots of terms of x and y, each slot of x meeting at most
+    one slot of y, and the other way round: it is at most
+    min(L1(x) M(y), M(x) L1(y)), and L1(x * y) <= L1(x) L1(y).
+    """
+    x = operands[0]
+    e, l1, m = x._e, x._l1, x._m
+    peak = m
+    for y in operands[1:]:
+        e += y._e
+        m = min(l1 * y._m, m * y._l1)
+        l1 *= y._l1
+        peak = max(peak, m, y._m)
+    return e, peak, l1, m
+
+
+def _sum_bounds(operands):
+    """(e, peak, L1, M) of the sum of the two ``operands``."""
+    x, y = operands
+    m = x._m + y._m
+    return max(x._e, y._e), m, x._l1 + y._l1, m
+
+
+def _compare_bounds(operands):
+    """(e, peak, _, _) of the two ``operands`` side by side."""
+    x, y = operands
+    return max(x._e, y._e), max(x._m, y._m), 0, 0
+
+
+def _aligned(operands: list, bounds):
+    """(operands, w, s, L1, M): the operands, rewritten where needed at one
+    key width w and one slot width s that hold the exponents and slots
+    bounded by ``bounds(operands)`` = (e, peak, L1, M), and the L1 and M
+    bounds of the result.
+
+    Operands that share their widths keep them while those hold the
+    bounds.  Otherwise each width is the default or the least wider one
+    that holds its bound.  A QRat operand puts all of them on the QRat
+    ring (s = 0).  Carried bounds only grow, so a peak past the default
+    slot width is first recomputed from the operands' slots
+    (``_tighten``).  An operand narrowed to s keeps its narrower layout,
+    as ``_tighten`` keeps its lower bounds: both leave the value as it is.
+    """
+    e, peak, l1, m = bounds(operands)
+    w, s = operands[0]._w, operands[0]._s
+    for x in operands:
+        if x._w != w or x._s != s:
+            break
+    else:
+        if not e >> (w - 1) and not (s and peak >> (s - 1)):
+            return operands, w, s, l1, m
+    w = _width(_KEY_WIDTH, e)
+    if all([x._s for x in operands]):
+        if peak >> (_SLOT_WIDTH - 1):
+            for x in operands:
+                if not x._exact:
+                    x._tighten()
+            e, peak, l1, m = bounds(operands)
+        s = _width(_SLOT_WIDTH, peak)
+    else:
+        s = 0
+    out = []
+    for x in operands:
+        if x._w != w or x._s != s:
+            y = x._relaid(w, s)
+            if 0 < s < x._s:
+                # the narrower layout serves every later use too: adopt it
+                x._c, x._w, x._s = y._c, w, s
+            else:
+                x = y
+        out.append(x)
+    return out, w, s, l1, m
 
 
 def _product(n: int, operands: list) -> "ExpansionSeries":
@@ -165,61 +296,89 @@ def _product(n: int, operands: list) -> "ExpansionSeries":
     bound being min(v_left + least degree right, v_right + least degree
     left).
 
-    The coefficient ring and the key packing are chosen once for the
-    whole chain (``_coefficient_ring``, ``_key_packing``) and each operand
-    is packed once.  Each step sums its pairs over the packed values,
-    with the next operand sorted by ratio degree, which each key carries,
-    so that each row stops at the bound, and drops its zero sums; the
-    terms are decoded once, at the end.  A product of nonempty series is
-    nonempty, because its least-degree part is the product of theirs, so
-    every step has a least degree on both sides.
+    The operands are brought to one descriptor (``_aligned``).  Each step
+    sums its pairs over the stored ints, or ``QRat``s, with the next
+    operand sorted by key, hence by ratio degree: a pair is kept when the
+    key of a + b is below the limit key of the bound, so each row stops
+    at a bisection.  Each step drops its zero sums.  A product of
+    nonempty series is nonempty, because its least-degree part is the
+    product of theirs, so every step has a least degree on both sides.
+    The result is returned packed.
     """
-    dicts = [s.terms for s in operands]
-    pack_key, unpack_key, degree = _key_packing(n, dicts)
-    packs, unpack = _coefficient_ring(dicts)
+    operands, w, s, l1, m = _aligned(operands, _product_bounds)
+    layout = _key_layout(n, w)
     first = operands[0]
-    sums = {pack_key(a): packs[0](c) for a, c in first.terms.items()}
-    validity = first.validity
-    for right, pack in zip(operands[1:], packs[1:]):
-        # a zero sum, packed int or QRat, is falsy
-        rows = [(degree(k), k, c) for k, c in sums.items() if c]
-        inner = sorted([(degree(k), k, pack(c)) for k, c in
-                        zip(map(pack_key, right.terms), right.terms.values())],
-                       key=_first)
-        validity = min(validity + inner[0][0],
-                       right.validity + min(map(_first, rows)))
-        sums = {}
-        for dega, ka, ca in rows:
-            room = validity - dega
-            for degb, kb, cb in inner:
-                if degb > room:
-                    break
+    sums, validity = first._c, first.validity
+    for right in operands[1:]:
+        inner = sorted(right._c.items())
+        keys = [k for k, _ in inner]
+        validity = min(validity + _key_degree(keys[0], layout),
+                       right.validity + _key_degree(min(sums), layout))
+        limit = _key_limit(validity, layout)
+        rows, sums = sums, {}
+        for ka, ca in rows.items():
+            for kb, cb in inner[:bisect_left(keys, limit - ka)]:
                 key = ka + kb
                 c = ca * cb
-                s = sums.get(key)
-                sums[key] = c if s is None else s + c
-    return ExpansionSeries._of(
-        n, {unpack_key(k): unpack(c) for k, c in sums.items() if c}, validity)
+                t = sums.get(key)
+                sums[key] = c if t is None else t + c
+        # a zero sum, packed int or QRat, is falsy
+        sums = {k: c for k, c in sums.items() if c}
+    b = sum([x._b for x in operands])
+    if s:
+        # truncation can drop the least q-exponents: raise the base to the
+        # least one left, the lowest set bit of any value
+        lo = (min([c & -c for c in sums.values()]).bit_length() - 1) // s
+        if lo:
+            sums, b = {k: c >> (s * lo) for k, c in sums.items()}, b + lo
+    return _make(n, validity, sums, w, sum([x._e for x in operands]), s, b,
+                 l1, m)
 
 
 class ExpansionSeries:
-    """Sparse truncated Laurent expansion with an explicit validity bound."""
+    """Sparse truncated Laurent expansion with an explicit validity bound.
 
-    __slots__ = ("n", "terms", "validity")
+    ``_c`` maps the packed key (``_key_layout``, digit width ``_w``) of
+    each exponent vector with a nonzero coefficient to that coefficient.
+    When every coefficient is an integer Laurent polynomial it is stored
+    as a packed int (``_pack_coeff``) at slot width ``_s`` and q-base
+    ``_b``; otherwise ``_s`` is 0 and the coefficients stay ``QRat``.
+    Beside this descriptor the series carries bounds: ``_e`` on the
+    largest |exponent|, ``_l1`` on the sum and ``_m`` on the largest of
+    the |coefficients| of every slot of every term, with _e < 2^(_w-1) and
+    _m < 2^(_s-1); ``_exact`` tells that ``_l1`` and ``_m`` are exact.
+    Widths start at the defaults, or at the least wider ones the bounds
+    need, and change only where an operation's bounds would overflow
+    them or its operands' widths differ (``_aligned``).  An operand on
+    the integer ring meeting one on the QRat ring is lifted to it.
+
+    Sums, products and comparisons work on the stored ints.  Coefficients
+    are decoded only by ``coefficient``, by ``to_json``, which caches
+    nothing, and by ``terms``, the {exponent vector: QRat} view for
+    readers outside this module, built on first use and kept.
+    """
+
+    __slots__ = ("n", "validity", "_c", "_w", "_e", "_s", "_b", "_l1", "_m",
+                 "_exact", "_terms")
 
     def __init__(self, n: int, terms=None, validity=INF):
-        self.n = n
-        self.validity = validity
-        self.terms = {a: c for a, c in (terms or {}).items()
-                      if not c.is_zero() and ratio_degree(a) <= validity}
-
-    @classmethod
-    def _of(cls, n: int, terms: dict, validity) -> "ExpansionSeries":
-        """Adopt ``terms`` as they are: the caller guarantees that every
-        coefficient is nonzero and every exponent inside the bound."""
-        out = cls.__new__(cls)
-        out.n, out.terms, out.validity = n, terms, validity
-        return out
+        terms = {a: c for a, c in (terms or {}).items()
+                 if not c.is_zero() and ratio_degree(a) <= validity}
+        e = max(map(abs, chain.from_iterable(terms)), default=0)
+        w = _width(_KEY_WIDTH, e)
+        layout = _key_layout(n, w)
+        ring = _int_laurent(terms.values())
+        if ring is None:
+            s = b = l1 = m = 0
+            coeffs = {_pack_key(a, layout): c for a, c in terms.items()}
+        else:
+            b, l1, m = ring
+            s = _width(_SLOT_WIDTH, m)
+            coeffs = {_pack_key(a, layout): _pack_coeff(c, s, b)
+                      for a, c in terms.items()}
+        self.n, self.validity, self._c, self._terms = n, validity, coeffs, None
+        self._w, self._e, self._s, self._b = w, e, s, b
+        self._l1, self._m, self._exact = l1, m, True
 
     # -- constructors ---------------------------------------------------
 
@@ -233,16 +392,34 @@ class ExpansionSeries:
 
     # -- introspection ----------------------------------------------------
 
-    def is_empty(self) -> bool:
-        return not self.terms
+    def __len__(self) -> int:
+        """The number of stored (nonzero) terms."""
+        return len(self._c)
+
+    @property
+    def terms(self) -> dict:
+        """{exponent vector: QRat} of the stored terms, decoded once."""
+        if self._terms is None:
+            layout, s, b = _key_layout(self.n, self._w), self._s, self._b
+            self._terms = {
+                _unpack_key(k, layout): _unpack_coeff(c, s, b) if s else c
+                for k, c in self._c.items()}
+        return self._terms
 
     def coefficient(self, a) -> QRat:
-        return self.terms.get(tuple(a), ZERO)
+        if self._terms is not None:
+            return self._terms.get(tuple(a), ZERO)
+        if len(a) != self.n or max(map(abs, a), default=0) > self._e:
+            return ZERO
+        v = self._c.get(_pack_key(a, _key_layout(self.n, self._w)))
+        if v is None:
+            return ZERO
+        return _unpack_coeff(v, self._s, self._b) if self._s else v
 
     def min_degree_bound(self):
         """A lower bound on the true minimal ratio degree of the series."""
-        if self.terms:
-            return min(ratio_degree(a) for a in self.terms)
+        if self._c:
+            return _key_degree(min(self._c), _key_layout(self.n, self._w))
         if self.validity == INF:
             return INF
         return self.validity + 1
@@ -251,109 +428,152 @@ class ExpansionSeries:
         if self.n != other.n:
             raise ValueError("mismatched variable count")
 
+    # -- storage ------------------------------------------------------------
+
+    def _tighten(self):
+        """Lower the L1 and M bounds to the L1 and M themselves, read from
+        the slots."""
+        s, l1, m = self._s, 0, 0
+        for v in self._c.values():
+            slots = list(map(abs, _slots(v, s)[1]))
+            l1 += sum(slots)
+            m = max(m, max(slots))
+        self._l1, self._m, self._exact = l1, m, True
+
+    def _relaid(self, w: int, s: int) -> "ExpansionSeries":
+        """The same series at key width w and slot width s; s = 0 lifts
+        the coefficients to ``QRat``."""
+        coeffs, s0, b, l1, m = self._c, self._s, self._b, self._l1, self._m
+        if w != self._w:
+            old, new = _key_layout(self.n, self._w), _key_layout(self.n, w)
+            coeffs = {_pack_key(_unpack_key(k, old), new): v
+                      for k, v in coeffs.items()}
+        if not s:
+            if s0:
+                coeffs = {k: _unpack_coeff(v, s0, b) for k, v in coeffs.items()}
+            b = l1 = m = 0
+        elif s != s0:
+            coeffs = {k: _encode(*reversed(_slots(v, s0)), s)
+                      for k, v in coeffs.items()}
+        return _make(self.n, self.validity, coeffs, w, self._e, s, b, l1, m,
+                     self._exact)
+
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "ExpansionSeries") -> "ExpansionSeries":
         self._check_mate(other)
-        validity = min(self.validity, other.validity)
+        (x, y), w, s, l1, m = _aligned([self, other], _sum_bounds)
+        validity = min(x.validity, y.validity)
+        limit = _key_limit(validity, _key_layout(self.n, w))
+        xc, yc = x._c, y._c
+        if x.validity > validity:
+            xc = {k: c for k, c in xc.items() if k < limit}
+        if y.validity > validity:
+            yc = {k: c for k, c in yc.items() if k < limit}
+        # both at the lower base of the two nonempty operands
+        b = x._b if not yc or (xc and x._b <= y._b) else y._b
+        if s:
+            xc, yc = _rebased(xc, s, x._b - b), _rebased(yc, s, y._b - b)
         # only coinciding terms can cancel
-        terms = self._clipped(validity)
-        for a, c in other._clipped(validity).items():
-            s = terms.get(a)
-            if s is None:
-                terms[a] = c
-            elif (s := s + c).is_zero():
-                del terms[a]
+        terms = dict(xc)
+        for k, c in yc.items():
+            t = terms.get(k)
+            if t is None:
+                terms[k] = c
+            elif (t := t + c):
+                terms[k] = t
             else:
-                terms[a] = s
-        return ExpansionSeries._of(self.n, terms, validity)
-
-    def _clipped(self, validity) -> dict:
-        """A fresh dict of the stored terms inside the bound ``validity``."""
-        if validity == self.validity:
-            return dict(self.terms)
-        return {a: c for a, c in self.terms.items() if ratio_degree(a) <= validity}
+                del terms[k]
+        return _make(self.n, validity, terms, w, max(x._e, y._e), s, b, l1, m)
 
     def __neg__(self) -> "ExpansionSeries":
-        return ExpansionSeries(
-            self.n, {a: -c for a, c in self.terms.items()}, self.validity)
+        return _make(self.n, self.validity, {k: -c for k, c in self._c.items()},
+                     self._w, self._e, self._s, self._b, self._l1, self._m,
+                     self._exact)
 
     def scale(self, c) -> "ExpansionSeries":
         c = qnum(c)
         if c.is_zero():
             return ExpansionSeries(self.n, {}, self.validity)
-        return ExpansionSeries(
-            self.n, {a: s * c for a, s in self.terms.items()}, self.validity)
+        return self._shift_scale(ExpansionSeries.monomial(self.n, (0,) * self.n, c))
 
-    def _shift_scale(self, a, c) -> "ExpansionSeries":
-        """Product with the exact single term c*z^a.
+    def _shift_scale(self, term: "ExpansionSeries") -> "ExpansionSeries":
+        """Product with the exact single-term series ``term`` = c*z^a.
 
-        Every stored exponent b has d(b) <= validity, so every shifted
-        exponent satisfies d(a+b) <= validity + d(a), the bound of the
-        product; nonzero coefficients stay nonzero.  The result is
-        therefore built directly, without re-filtering its terms.
+        Every key moves by the key of a and every coefficient is
+        multiplied by c; a packed c = q^k is the int 1 at base k, which
+        moves only the base.  Every stored exponent b has d(b) <= validity,
+        so every shifted exponent satisfies d(a+b) <= validity + d(a), the
+        bound of the product; nonzero coefficients stay nonzero.  The
+        result is therefore built directly, without re-filtering its terms.
         """
-        if c.is_one():
-            terms = {tuple(map(operator.add, b, a)): s for b, s in self.terms.items()}
+        (x, t), w, s, l1, m = _aligned([self, term], _product_bounds)
+        (kt, ct), = t._c.items()
+        if ct == 1 if s else ct.is_one():
+            coeffs = {k + kt: c for k, c in x._c.items()}
         else:
-            terms = {tuple(map(operator.add, b, a)): s * c
-                     for b, s in self.terms.items()}
-        return ExpansionSeries._of(self.n, terms, self.validity + ratio_degree(a))
+            coeffs = {k + kt: c * ct for k, c in x._c.items()}
+        return _make(self.n, x.validity + _key_degree(kt, _key_layout(self.n, w)),
+                     coeffs, w, x._e + t._e, s, x._b + t._b, l1, m,
+                     x._exact and t._l1 == 1)
 
     def mul(self, other: "ExpansionSeries") -> "ExpansionSeries":
         """Truncated product: every pair with d(a) + d(b) <= validity.
 
         A single exact term shifts and scales the other operand
         (``_shift_scale``).  Otherwise the pairs are summed by
-        ``_product``, whose coefficient ring is chosen per product: packed
-        ints when every coefficient of both operands is an integer Laurent
-        polynomial, ``QRat`` otherwise.
+        ``_product``.
         """
         self._check_mate(other)
-        if other.validity == INF and len(other.terms) == 1:
-            (a, c), = other.terms.items()
-            return self._shift_scale(a, c)
-        if self.validity == INF and len(self.terms) == 1:
-            (a, c), = self.terms.items()
-            return other._shift_scale(a, c)
-        if not self.terms or not other.terms:
+        if other.validity == INF and len(other._c) == 1:
+            return self._shift_scale(other)
+        if self.validity == INF and len(self._c) == 1:
+            return other._shift_scale(self)
+        if not self._c or not other._c:
             va = self.validity + other.min_degree_bound()
             vb = other.validity + self.min_degree_bound()
-            return ExpansionSeries._of(self.n, {}, min(va, vb))
+            return ExpansionSeries(self.n, {}, min(va, vb))
         return _product(self.n, [self, other])
 
     __mul__ = mul
 
-    def substitute_scale(self, i: int, c) -> "ExpansionSeries":
-        """Replace z_i by c*z_i for a nonzero monomial c in q (times +-1)."""
-        c = qnum(c)
-        if c.is_zero():
-            raise ValueError("substitution scale must be nonzero")
-        if c.as_monomial() is None:
-            raise ValueError("substitution scale must be a monomial in q")
-        return ExpansionSeries(
-            self.n,
-            {a: s * c ** a[i - 1] for a, s in self.terms.items()},
-            self.validity)
-
     # -- comparison ------------------------------------------------------
 
-    def equal_up_to(self, other: "ExpansionSeries", bound) -> bool:
-        """Exact agreement of all coefficients with d(a) <= bound."""
+    def first_difference(self, other: "ExpansionSeries", bound):
+        """(a, own coefficient, other's coefficient) at the least exponent
+        a with d(a) <= bound at which the two series differ, the order
+        being that of the keys, (d(a), a_n, ..., a_1); None when they
+        agree at every such a."""
         self._check_mate(other)
         if bound > min(self.validity, other.validity):
             raise ValueError("insufficient truncation")
-        for a in self.terms.keys() | other.terms.keys():
-            if ratio_degree(a) <= bound and self.coefficient(a) != other.coefficient(a):
-                return False
-        return True
+        (x, y), w, s, _, _ = _aligned([self, other], _compare_bounds)
+        xc, yc, b = x._c, y._c, min(x._b, y._b)
+        if s:
+            xc, yc = _rebased(xc, s, x._b - b), _rebased(yc, s, y._b - b)
+        if xc == yc:
+            return None
+        layout = _key_layout(self.n, w)
+        limit = _key_limit(bound, layout)
+        keys = [k for k, c in xc.items() if k < limit and yc.get(k) != c]
+        keys += [k for k in yc if k < limit and k not in xc]
+        if not keys:
+            return None
+        k = min(keys)
+        pair = [ZERO if c is None else _unpack_coeff(c, s, b) if s else c
+                for c in (xc.get(k), yc.get(k))]
+        return (_unpack_key(k, layout), *pair)
+
+    def equal_up_to(self, other: "ExpansionSeries", bound) -> bool:
+        """Exact agreement of all coefficients with d(a) <= bound."""
+        return self.first_difference(other, bound) is None
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExpansionSeries)
             and self.n == other.n
             and self.validity == other.validity
-            and self.terms == other.terms
+            and self.first_difference(other, self.validity) is None
         )
 
     def __str__(self) -> str:
@@ -374,12 +594,25 @@ class ExpansionSeries:
         return self._json({})
 
     def _json(self, shared: dict):
+        """``to_json`` with ``QRat._json``'s one object per distinct
+        coefficient in ``shared``.  A packed value, with its slot width and
+        base, and a packed key, with its width, key ``shared`` too, so that
+        a value or an exponent vector met again is not decoded again."""
+        w, s, b = self._w, self._s, self._b
+        layout = _key_layout(self.n, w)
+        terms = []
+        for k, c in self._c.items():
+            a = shared.get((w, k))
+            if a is None:
+                a = shared[w, k] = list(_unpack_key(k, layout))
+            if not s:
+                j = c._json(shared)
+            elif (j := shared.get((s, b, c))) is None:
+                j = shared[s, b, c] = _unpack_coeff(c, s, b)._json(shared)
+            terms.append([a, j])
+        terms.sort(key=_first)
         v = self.validity
-        return {
-            "n": self.n,
-            "validity": None if v == INF else v,
-            "terms": [[list(a), c._json(shared)] for a, c in self.sorted_terms()],
-        }
+        return {"n": self.n, "validity": None if v == INF else v, "terms": terms}
 
     @classmethod
     def from_json(cls, data) -> "ExpansionSeries":
@@ -389,6 +622,21 @@ class ExpansionSeries:
             {tuple(a): QRat.from_json(c) for a, c in data["terms"]},
             INF if v is None else v,
         )
+
+
+def _merge(kept: list, u, i, v, j, m):
+    """Merge the binomial (u*z_i + v*z_j)^m into the first proportional
+    binomial of ``kept``, in place, so that inverse pairs cancel exactly
+    instead of meeting again at a pole: the scalar (u/u0)^m that the merge
+    leaves over, or None when no binomial of ``kept`` is proportional."""
+    for pos, (u0, i0, v0, j0, m0) in enumerate(kept):
+        if i0 == i and j0 == j and u0 * v == v0 * u:
+            if m0 + m == 0:
+                kept.pop(pos)
+            else:
+                kept[pos] = (u0, i0, v0, j0, m0 + m)
+            return (u / u0) ** m
+    return None
 
 
 class FactoredRational:
@@ -427,21 +675,18 @@ class FactoredRational:
                 continue
             if i > j:
                 u, i, v, j = v, j, u, i
-            # merge with a proportional binomial so that inverse pairs
-            # cancel exactly instead of meeting again at a pole
-            for pos, (u0, i0, v0, j0, m0) in enumerate(kept):
-                if i0 == i and j0 == j and u0 * v == v0 * u:
-                    scalar = scalar * (u / u0) ** m
-                    if m0 + m == 0:
-                        kept.pop(pos)
-                    else:
-                        kept[pos] = (u0, i0, v0, j0, m0 + m)
-                    break
-            else:
+            merged = _merge(kept, u, i, v, j, m)
+            if merged is None:
                 kept.append((u, i, v, j, m))
+            else:
+                scalar = scalar * merged
+        self._set(scalar, mono, kept)
+
+    def _set(self, scalar, mono, kept):
+        """Store the folded fields; a zero scalar stores the zero."""
         if scalar.is_zero():
             self.scalar = ZERO
-            self.monomial = (0,) * n
+            self.monomial = (0,) * self.n
             self.factors = ()
         else:
             self.scalar = scalar
@@ -454,12 +699,24 @@ class FactoredRational:
     # -- exact algebra on the factored form ------------------------------
 
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
+        """The constructor's result on both scalars, monomials and factor
+        lists.  Each operand's factors are already folded and merged, and
+        no two of one operand's are proportional, so only ``other``'s are
+        merged, and only against ``self``'s."""
         if self.n != other.n:
             raise ValueError("mismatched variable count")
-        return FactoredRational(
-            self.n, self.scalar * other.scalar,
-            vec_add(self.monomial, other.monomial),
-            self.factors + other.factors)
+        mine, added = list(self.factors), []
+        scalar = self.scalar * other.scalar
+        for f in other.factors:
+            merged = _merge(mine, *f)
+            if merged is None:
+                added.append(f)
+            else:
+                scalar = scalar * merged
+        out = FactoredRational.__new__(FactoredRational)
+        out.n = self.n
+        out._set(scalar, vec_add(self.monomial, other.monomial), mine + added)
+        return out
 
     def inv(self) -> "FactoredRational":
         if self.is_zero():

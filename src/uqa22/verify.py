@@ -28,7 +28,7 @@ from .blocks import (
     residue_constant,
     solve_exact,
 )
-from .ncalg import ModeSymbol, NCExpr, mode, principal_degree
+from .ncalg import ModeSymbol, NCExpr, mode, principal_degree, word_str
 from .projection import (
     MINUS,
     PLUS,
@@ -132,8 +132,12 @@ def _suite_oracle(n=4, depth=4) -> SuiteReport:
         closed = weight_plus_closed(m, depth)
         recursive = weight_plus_recursive(m, depth)
         bound = min(closed.expr.validity, recursive.expr.validity)
-        rep.record(f"closed-vs-recursive/n={m}",
-                   closed.equal_up_to(recursive, bound))
+        diff = closed.expr.first_difference(recursive.expr, bound)
+        detail = ""
+        if diff is not None:
+            word, a, c, r = diff
+            detail = f"word={word_str(word)} z^{list(a)} closed={c} recursive={r}"
+        rep.record(f"closed-vs-recursive/n={m}", diff is None, detail)
     return rep
 
 
@@ -333,9 +337,10 @@ def _suite_enumeration(n=8) -> SuiteReport:
     for size in range(1, n + 1):
         for orientation in (PLUS, MINUS):
             for r in range(size // 2 + 1):
-                fast = {(p.I, p.J)
-                        for p in admissible_pairs(size, r, orientation)}
-                brute = set(brute_admissible(size, r, orientation))
+                # lists, not sets: a pair listed twice is a failure
+                fast = sorted((p.I, p.J)
+                              for p in admissible_pairs(size, r, orientation))
+                brute = sorted(brute_admissible(size, r, orientation))
                 rep.record(f"{orientation}/n={size}/r={r}", fast == brute,
                            f"{len(fast)} vs {len(brute)}")
     printed = [((1, 2), (4, 3)), ((2, 1), (4, 3)), ((3, 1), (4, 2))]

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from uqa22.qfield import QRat, qpow
+from uqa22.qfield import QRat, qnum, qpow
+from uqa22.series import ExpansionSeries
 
 
 def rational_stream(seed: int):
@@ -20,6 +21,19 @@ def rational_stream(seed: int):
 
 def random_monomial(rng: random.Random) -> QRat:
     return qpow(rng.randint(-3, 3), Fraction(rng.choice([1, -1]) * rng.randint(1, 3)))
+
+
+def substitute_scale(series, i: int, c) -> ExpansionSeries:
+    """Reference substitution z_i -> c*z_i for a nonzero monomial c in q
+    (times +-1), coefficient by coefficient on the decoded terms."""
+    c = qnum(c)
+    if c.is_zero():
+        raise ValueError("substitution scale must be nonzero")
+    if c.as_monomial() is None:
+        raise ValueError("substitution scale must be a monomial in q")
+    return ExpansionSeries(
+        series.n, {a: s * c ** a[i - 1] for a, s in series.terms.items()},
+        series.validity)
 
 
 def brute_expand(fr, rel_depth: int):

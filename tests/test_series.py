@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_expand, random_monomial, rational_stream
+from conftest import brute_expand, random_monomial, rational_stream, substitute_scale
 from uqa22.blocks import ArgList, build_block, build_kernel
+from uqa22 import series as series_module
 from uqa22.qfield import QPoly, QRat, qnum, qpow
 from uqa22.series import INF, ExpansionSeries, FactoredRational, ratio_degree
 
@@ -77,24 +78,24 @@ def test_inverse_product_is_one(rng):
 
 def test_scale_by_zero_gives_empty_series():
     s = ExpansionSeries.one(3).scale(qnum(0))
-    assert s.is_empty()
+    assert not s.terms
 
 
 def test_substitute_scale_on_series():
     terms = {(-k,): qnum(1) for k in range(1, 5)}
     s = ExpansionSeries(1, terms)
-    t = s.substitute_scale(1, qpow(1, -1))
+    t = substitute_scale(s, 1, qpow(1, -1))
     for k in range(1, 5):
         assert t.coefficient((-k,)) == qpow(1, -1) ** (-k)
 
 
 def test_substitute_scale_identity_and_inverse():
     s = build_block("mu", ArgList((1,), 2), 1, 2).expand(4)
-    assert s.substitute_scale(1, qnum(1)).terms == s.terms
-    back = s.substitute_scale(2, qpow(2)).substitute_scale(2, qpow(-2))
+    assert substitute_scale(s, 1, qnum(1)).terms == s.terms
+    back = substitute_scale(substitute_scale(s, 2, qpow(2)), 2, qpow(-2))
     assert back.terms == s.terms
     with pytest.raises(ValueError, match="nonzero"):
-        s.substitute_scale(1, qnum(0))
+        substitute_scale(s, 1, qnum(0))
 
 
 def test_eval_exact_examples():
@@ -577,3 +578,172 @@ def test_eval_exact_zero_base_and_a_later_pole():
     # a z at zero under a negative exponent is a pole of the monomial
     with pytest.raises(ZeroDivisionError):
         vanishing.eval_exact(2, [3, 0, 5])
+
+
+# -- FactoredRational products against the constructor -----------------------
+
+_units = st.builds(qpow, st.integers(min_value=-2, max_value=2),
+                   st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_merges_like_the_constructor(data):
+    n = 3
+    pairs = st.sampled_from([(1, 2), (1, 3), (2, 3), (2, 1), (3, 3)])
+    factors = st.lists(st.tuples(_units, pairs, _units,
+                                 st.sampled_from([-2, -1, 1, 2])), max_size=4)
+    mono = st.tuples(*[st.integers(min_value=-2, max_value=2)] * n)
+
+    def draw(extra=()):
+        fs = [(u, i, v, j, m) for u, (i, j), v, m in data.draw(factors)]
+        return FactoredRational(n, data.draw(_units), data.draw(mono),
+                                fs + list(extra))
+
+    x = draw()
+    # proportional copies of x's factors, some cancelling them exactly
+    copies = [(u * c, i, v * c, j, data.draw(st.sampled_from([-m, m, 1])))
+              for u, i, v, j, m in x.factors
+              for c in [data.draw(_units)] if data.draw(st.booleans())]
+    y = draw(copies)
+    got = x * y
+    want = FactoredRational(n, x.scalar * y.scalar,
+                            [a + b for a, b in zip(x.monomial, y.monomial)],
+                            x.factors + y.factors)
+    assert (got.scalar, got.monomial, got.factors) \
+        == (want.scalar, want.monomial, want.factors)
+    assert got.to_json() == want.to_json()
+
+
+# -- the packed storage against plain {exponent: QRat} dicts -----------------
+
+def _deg(a):
+    return ratio_degree(a)
+
+
+def _least_degree(terms, validity):
+    if terms:
+        return min(map(_deg, terms))
+    return INF if validity == INF else validity + 1
+
+
+def _dict_mul(tx, vx, ty, vy):
+    validity = min(vx + _least_degree(ty, vy), vy + _least_degree(tx, vx))
+    out = {}
+    for a, ca in tx.items():
+        for b, cb in ty.items():
+            if _deg(a) + _deg(b) <= validity:
+                key = tuple(i + j for i, j in zip(a, b))
+                out[key] = out.get(key, qnum(0)) + ca * cb
+    return {k: c for k, c in out.items() if not c.is_zero()}, validity
+
+
+def _dict_add(tx, vx, ty, vy):
+    validity = min(vx, vy)
+    out = {}
+    for terms in (tx, ty):
+        for a, c in terms.items():
+            if _deg(a) <= validity:
+                out[a] = out.get(a, qnum(0)) + c
+    return {k: c for k, c in out.items() if not c.is_zero()}, validity
+
+
+def _dict_equal(tx, ty, bound):
+    return all(tx.get(a, qnum(0)) == ty.get(a, qnum(0))
+               for a in tx.keys() | ty.keys() if _deg(a) <= bound)
+
+
+def _check(got, terms, validity):
+    _assert_same_series(got, ExpansionSeries(got.n, terms, validity))
+    assert got.terms == terms and got.validity == validity
+
+
+_int_exps = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3)
+_int_coeffs = st.builds(_laurent, st.integers(min_value=-5, max_value=3),
+                        st.lists(st.integers(min_value=-3, max_value=3),
+                                 min_size=1, max_size=4)) \
+    .filter(lambda c: not c.is_zero())
+_int_terms = st.dictionaries(_int_exps, _int_coeffs, max_size=6)
+_int_validity = st.one_of(st.just(INF), st.integers(min_value=-6, max_value=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_storage_equals_the_dict_references(data):
+    tx, vx = data.draw(_int_terms), data.draw(_int_validity)
+    tx = {a: c for a, c in tx.items() if _deg(a) <= vx}
+    ty, vy = data.draw(_int_terms), data.draw(_int_validity)
+    # let some terms of the sum cancel
+    for a in data.draw(st.sets(st.sampled_from(sorted(tx)))) if tx else ():
+        if _deg(a) <= vy:
+            ty[a] = -tx[a]
+    ty = {a: c for a, c in ty.items() if _deg(a) <= vy}
+    x, y = ExpansionSeries(3, tx, vx), ExpansionSeries(3, ty, vy)
+    _check(x.mul(y), *_dict_mul(tx, vx, ty, vy))
+    _check(x + y, *_dict_add(tx, vx, ty, vy))
+    # chained, so that the operands are results with carried bounds
+    xy = x + y
+    txy, vxy = _dict_add(tx, vx, ty, vy)
+    _check(xy.mul(xy), *_dict_mul(txy, vxy, txy, vxy))
+    a, c = data.draw(_int_exps), data.draw(st.one_of(_int_coeffs, _units))
+    _check(x._shift_scale(ExpansionSeries.monomial(3, a, c)),
+           {tuple(i + j for i, j in zip(a, b)): s * c for b, s in tx.items()},
+           vx + _deg(a))
+    _check(x.scale(c), {b: s * c for b, s in tx.items()}, vx)
+    bound = data.draw(st.integers(min_value=-6, max_value=8))
+    if bound <= min(vx, vy):
+        assert x.equal_up_to(y, bound) == _dict_equal(tx, ty, bound)
+        assert x.equal_up_to(x + ExpansionSeries.monomial(3, a, c), bound) \
+            == (_deg(a) > bound)
+
+
+def test_a_product_past_the_default_slot_width_repacks_exactly():
+    big = 2 ** 62
+    tx = {_z1: _laurent(-3, [big - 1, 0, -big]), _z2: _laurent(2, [big // 3])}
+    ty = {_z1: _laurent(0, [-big, 7]), (0, 0): _laurent(-1, [1, -2])}
+    x, y = ExpansionSeries(2, tx, INF), ExpansionSeries(2, ty, INF)
+    small = ExpansionSeries(2, {_z2: _laurent(1, [1, 1])}, INF)
+    assert small._s == series_module._SLOT_WIDTH
+    xy = x.mul(y)
+    assert xy._s > x._s > series_module._SLOT_WIDTH
+    _check(xy, *_dict_mul(tx, INF, ty, INF))
+    _check(xy + small, *_dict_add(xy.terms, INF, small.terms, INF))
+    _check(small.mul(xy), *_dict_mul(small.terms, INF, xy.terms, INF))
+
+
+def test_a_sum_past_the_default_key_width_repacks_exactly():
+    edge = 2 ** (series_module._KEY_WIDTH - 1)
+    tx = {(edge - 1, -3): qnum(2), (0, 1): q}
+    ty = {(edge + 3, 0): qnum(-1), (0, 1): q}
+    x, y = ExpansionSeries(2, tx, INF), ExpansionSeries(2, ty, INF)
+    assert x._w == series_module._KEY_WIDTH < y._w
+    _check(x + y, *_dict_add(tx, INF, ty, INF))
+    _check(x.mul(x), *_dict_mul(tx, INF, tx, INF))
+    assert x.mul(x)._w > series_module._KEY_WIDTH
+    assert x.coefficient((edge - 1, -3)) == qnum(2)
+    assert x.coefficient((edge + 3, 0)) == qnum(0)
+
+
+def test_an_integer_series_times_a_qrat_series():
+    tx = {_z1: _laurent(-2, [1, 0, 3]), _z2: qnum(-4), (1, 1): q}
+    ty = {_z1: qnum(1) / (qnum(1) + qpow(3)), (0, 0): qnum(Fraction(2, 3)),
+          _z2: _laurent(1, [5])}
+    x, y = ExpansionSeries(2, tx, 3), ExpansionSeries(2, ty, 4)
+    assert x._s and not y._s
+    for got in (x.mul(y), y.mul(x)):
+        _check(got, *_dict_mul(tx, 3, ty, 4))
+    _check(x + y, *_dict_add(tx, 3, ty, 4))
+
+
+def test_equal_series_at_different_q_bases_compare_equal():
+    tx = {_z1: _laurent(2, [1, -1]), _z2: _laurent(4, [3]), (1, 1): q}
+    x = ExpansionSeries(2, tx, 6)
+    low = ExpansionSeries(2, {(0, 3): qpow(-9)}, INF)
+    y = x + low + -low    # the same terms, written at the base q^-9
+    assert y._b < x._b and y.terms == x.terms
+    assert x == y and y == x and x.equal_up_to(y, 6)
+    assert x.first_difference(y, 6) is None
+    z = y + ExpansionSeries.monomial(2, _z2, qpow(-1))
+    assert z.first_difference(x, 6) == (_z2, qpow(4, 3) + qpow(-1), qpow(4, 3))
+    assert x.first_difference(z, 6) == (_z2, qpow(4, 3), qpow(4, 3) + qpow(-1))
+    assert not x.equal_up_to(z, 6) and x.equal_up_to(z, 1)

@@ -8,8 +8,10 @@ import random
 import pytest
 
 from uqa22 import verify
-from uqa22.projection import MINUS, PLUS
+from uqa22.ncalg import NCExpr, word_str
+from uqa22.projection import MINUS, PLUS, WeightExpr, weight_plus_closed
 from uqa22.qfield import qpow
+from uqa22.series import ExpansionSeries, ratio_degree
 from uqa22.verify import SUITE_NAMES, brute_admissible, run_suite
 
 
@@ -205,3 +207,41 @@ def test_suite_size_limits_are_checked_up_front():
         run_suite("enumeration", n=11)
     with pytest.raises(ValueError, match="at least 2"):
         run_suite("modes", window=1)
+
+
+def test_enumeration_fails_a_pair_listed_twice(monkeypatch):
+    real = verify.admissible_pairs
+
+    def admissible_pairs(n, r, orientation):
+        pairs = real(n, r, orientation)
+        return pairs + pairs[:1] if (n, r, orientation) == (5, 0, PLUS) else pairs
+
+    monkeypatch.setattr(verify, "admissible_pairs", admissible_pairs)
+    rep = run_suite("enumeration", n=5)
+    assert not rep.passed
+    assert rep.failures == [{"case": "plus/n=5/r=0", "detail": "2 vs 1"}]
+
+
+def test_oracle_names_the_first_wrong_coefficient(monkeypatch):
+    closed = weight_plus_closed(3, 4).expr
+    words = closed.words()
+    first, last = words[1], words[-1]
+    a = min(closed.coefficient(first).terms, key=ratio_degree)
+    real = verify.weight_plus_recursive
+
+    def weight_plus_recursive(n, depth):
+        w = real(n, depth)
+        if n != 3:
+            return w
+        # plant a wrong coefficient at two words; the first one is named
+        coeffs = dict(w.expr.coeffs)
+        for word in (last, first):
+            coeffs[word] = coeffs[word] + ExpansionSeries.monomial(3, a)
+        return WeightExpr(NCExpr(3, coeffs, w.expr.validity), w.orientation)
+
+    monkeypatch.setattr(verify, "weight_plus_recursive", weight_plus_recursive)
+    rep = run_suite("oracle", n=3, depth=4)
+    c = closed.coefficient(first).coefficient(a)
+    assert rep.failures == [{
+        "case": "closed-vs-recursive/n=3",
+        "detail": f"word={word_str(first)} z^{list(a)} closed={c} recursive={c + 1}"}]
