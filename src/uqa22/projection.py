@@ -409,7 +409,11 @@ def weight_plus_recursive(n: int, depth: int) -> WeightExpr:
         memo[key] = out
         return out
 
-    return WeightExpr(project((), tuple(range(1, n + 1))), PLUS)
+    # project is cyclic: free the memo now, not at the next collection
+    try:
+        return WeightExpr(project((), tuple(range(1, n + 1))), PLUS)
+    finally:
+        memo.clear()
 
 
 def weight_minus_recursive(n: int, depth: int) -> WeightExpr:
@@ -459,15 +463,20 @@ def weight_minus_recursive(n: int, depth: int) -> WeightExpr:
         memo[key] = out
         return out
 
-    return WeightExpr(project(tuple(range(1, n + 1)), ()), MINUS)
+    # project is cyclic: free the memo now, not at the next collection
+    try:
+        return WeightExpr(project(tuple(range(1, n + 1)), ()), MINUS)
+    finally:
+        memo.clear()
 
 
 # -- mode expansion -----------------------------------------------------------
 
 # Each symbol's mode series is a prefactor times a table with integer
-# Laurent coefficients (the twists -q and -q^-1 are integral too), so
-# mode_expand scales a word's coefficient by the prefactors once and the
-# table products never reduce.  Per kind: the prefactor, the modes m for
+# Laurent coefficients (the twists -q and -q^-1 are integral too).  The
+# prefactor's denominator, 1 or 1 + q^3, becomes the denominator of every
+# series of the symbol's modes, so their products multiply numerators and
+# denominators and never reduce.  Per kind: the prefactor, the modes m for
 # a window, and the (mode indices of the word, coefficient) rows of z^-m.
 _SYMBOL_TABLES = {
     # sum_{m>0} f_m z^-m and sum_{m<=0} f_m z^-m
@@ -490,9 +499,10 @@ _SYMBOL_TABLES = {
 }
 
 
-def _symbol_table(sym, n: int, window: int):
-    """(prefactor, integer table) whose product is the symbol's modes;
-    the table sums coeff * word * z_var^-m over the rows."""
+def symbol_modes(sym, n: int, window: int) -> NCExpr:
+    """Mode expansion of one abstract projection symbol: its prefactor
+    times the sum of coeff * word * z_var^-m over the rows of its table,
+    each word's series over the prefactor's denominator."""
     if sym.kind not in _SYMBOL_TABLES:
         raise ValueError(f"unknown symbol kind {sym.kind!r}")
     prefactor, modes, rows = _SYMBOL_TABLES[sym.kind]
@@ -503,16 +513,11 @@ def _symbol_table(sym, n: int, window: int):
             by_exp = acc.setdefault(tuple(ModeSymbol("f", x) for x in word), {})
             c = c if twist is None else c * twist ** (-m)
             by_exp[-m] = by_exp.get(-m, qnum(0)) + c
-    return prefactor, NCExpr(n, {
-        word: ExpansionSeries(n, {unit_vec(n, sym.var, e): c
-                                  for e, c in by_exp.items() if not c.is_zero()})
+    unit = ExpansionSeries.monomial(n, (0,) * n, prefactor)
+    return NCExpr(n, {
+        word: unit.mul(ExpansionSeries(n, {
+            unit_vec(n, sym.var, e): c for e, c in by_exp.items() if not c.is_zero()}))
         for word, by_exp in acc.items()})
-
-
-def symbol_modes(sym, n: int, window: int) -> NCExpr:
-    """Mode expansion of one abstract projection symbol."""
-    prefactor, table = _symbol_table(sym, n, window)
-    return table.scale(prefactor)
 
 
 def mode_expand(w: WeightExpr, window: int) -> NCExpr:
@@ -520,23 +525,17 @@ def mode_expand(w: WeightExpr, window: int) -> NCExpr:
 
     The result is exact on every word whose mode indices all lie inside
     [-window, window]; a few exact boundary words just outside are kept
-    rather than pruned.  Each word's coefficient is scaled by the product
-    of its symbols' prefactors before the integer tables multiply in.
+    rather than pruned.  Each symbol's table is over its prefactor's
+    denominator (``symbol_modes``), so the products never reduce.
     """
     if window < 1:
         raise ValueError("window must be positive")
     n = w.expr.n
-    tables = {sym: _symbol_table(sym, n, window) for sym in dict.fromkeys(
+    tables = {sym: symbol_modes(sym, n, window) for sym in dict.fromkeys(
         sym for word in w.expr.coeffs for sym in word)}
-
-    def terms():
-        for word, coeff in w.expr.coeffs.items():
-            prefactor = prod((tables[sym][0] for sym in word), start=ONE)
-            if not prefactor.is_one():
-                coeff = coeff.scale(prefactor)
-            yield coeff, [tables[sym][1] for sym in word]
-
-    return _weighted_sum(n, terms(), w.orientation)
+    return _weighted_sum(n, ((coeff, [tables[sym] for sym in word])
+                             for word, coeff in w.expr.coeffs.items()),
+                         w.orientation)
 
 
 def star_projection(n: int, depth: int, window: int, sign: str) -> NCExpr:

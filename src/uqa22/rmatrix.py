@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .ncalg import (ModeSymbol, NCExpr, _symbol_from_json, _symbol_json,
                     iota_word, principal_degree)
-from .qfield import QPoly, QRat, qnum, qpow
+from .qfield import _POLY_ONE, QRat, qnum, qpow
 from .projection import (_SYMBOL_TABLES, WeightExpr, mode_expand,
                          weight_minus_closed, weight_plus_closed)
-from .series import ExpansionSeries, _coefficient_ring
+from .series import (ExpansionSeries, _over_one_denominator, _pack_coeff,
+                     _unpack_coeff)
 
 
 @dataclass(frozen=True)
@@ -109,24 +109,17 @@ def _pair_sum(coeffs: dict, m: int) -> dict:
     (word, exponent): the sum over exponents a of
     (q - q^-1)^m / m! * c(w_l, a) * c(w_r, a), keyed by (iota(w_l), w_r).
 
-    Every c is lifted to c * D, D the lcm of their denominators, and the
-    lifted values go through ``_coefficient_ring``, one entry per
-    occurrence so that its L1 slot bound holds for the pair sums: the
-    pairs multiply and add as packed ints when every lifted value is an
-    integer Laurent polynomial, as ``QRat`` otherwise.  Each key's sum is
-    unpacked once and divided by D^2 with the coupling.
+    Every c is written as an integer Laurent numerator over one
+    denominator D (``_over_one_denominator``) and packed at a slot width
+    that holds L1^2, a bound on every slot of every pair sum: the pairs
+    multiply and add as packed ints.  Each key's sum is unpacked once and
+    divided by D^2 with the coupling.
     """
-    dens = {c.den for c in coeffs.values()}
-    d = one = QPoly.one()
-    for den in dens:
-        d = d * QRat(d, den).den
-    quotient = {den: QRat(d, den).num for den in dens}
-    lifted = {k: QRat(c.num * quotient[c.den], one, _canonical=True)
-              for k, c in coeffs.items()}
-    (pack, _), unpack = _coefficient_ring([lifted, lifted])
+    d, nums, (b, l1, _) = _over_one_denominator(list(coeffs.values()))
+    s = (l1 * l1).bit_length() + 1
     by_exp = {}
-    for (word, a), c in lifted.items():
-        by_exp.setdefault(a, []).append((word, pack(c)))
+    for (word, a), p in zip(coeffs, nums):
+        by_exp.setdefault(a, []).append((word, _pack_coeff(p, s, b)))
     sums = {}
     for pairs in by_exp.values():
         for wl, cl in pairs:
@@ -136,10 +129,10 @@ def _pair_sum(coeffs: dict, m: int) -> dict:
                 c = cl * cr
                 t = sums.get(key)
                 sums[key] = c if t is None else t + c
-    scale = _coupling() ** m / QRat(d * d)
-    inv_fact = qnum(Fraction(1, factorial(m)))
-    # a zero sum, packed int or QRat, is falsy
-    return {k: unpack(v) * scale * inv_fact for k, v in sums.items() if v}
+    # integer coefficients meet the Fraction 1/m! only in a monomial product
+    scale, inv_fact = _coupling() ** m / QRat(d * d), qnum(1) / factorial(m)
+    return {k: _unpack_coeff(v, s, 2 * b, _POLY_ONE) * scale * inv_fact
+            for k, v in sums.items() if v}
 
 
 def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:

@@ -23,7 +23,7 @@ import math
 import operator
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, count
 from math import comb
 
@@ -49,10 +49,11 @@ def unit_vec(n: int, i: int, value: int = 1):
 
 # -- packed storage ----------------------------------------------------------
 #
-# A series keeps each nonzero term as packed key -> coefficient.  The key
-# packs the exponent vector (``_key_layout``).  The coefficient is a packed
-# int (``_pack_coeff``) when every coefficient of the series is an integer
-# Laurent polynomial, and the ``QRat`` itself otherwise.
+# A series keeps each nonzero term as packed key -> packed numerator.  The
+# key packs the exponent vector (``_key_layout``).  The numerator packs an
+# integer Laurent polynomial (``_pack_coeff``), and every numerator of the
+# series shares one integer polynomial denominator, the series' D
+# (``_over_one_denominator``), which is 1 on the whole weight path.
 
 _KEY_WIDTH = 16     # default key digit width: every |exponent| < 2^15
 _SLOT_WIDTH = 20    # default slot width: every |coefficient| < 2^19
@@ -104,19 +105,37 @@ def _key_limit(d, layout):
     return d if d == INF else ((d + 1) << layout[2]) - layout[3]
 
 
-def _int_laurent(coeffs):
-    """(least q-exponent, L1, M) of the nonzero ``QRat`` values ``coeffs``
-    when each one is an integer Laurent polynomial, else None.  L1 is the
-    sum and M the largest of the absolute values of every integer
-    coefficient of every value; for no value all three are 0."""
-    nums = [c.num for c in coeffs if c.den.is_one()]
-    if len(nums) < len(coeffs):
-        return None
+def _over_one_denominator(values):
+    """(D, numerators, (b, L1, M)): the nonzero ``QRat`` ``values`` as
+    integer Laurent polynomials over one integer polynomial D, then the
+    least q-exponent b, and the sum L1 and the largest M of the absolute
+    values of every integer coefficient, of those numerators; for no
+    value b, L1 and M are 0.
+
+    D is the lcm of the denominators times the least positive integer k
+    that clears every ``Fraction`` coefficient: num/den is written as
+    k * num * (lcm/den) over k * lcm.  When every value is an integer
+    Laurent polynomial, D is ``_POLY_ONE`` itself and only the bounds are
+    computed.
+    """
+    nums = [c.num for c in values if c.den.is_one()]
+    d = _POLY_ONE
+    if len(nums) < len(values):
+        d, *rest = dens = {c.den for c in values} - {_POLY_ONE}
+        for den in rest:
+            d = d * QRat(d, den).den    # lcm(d, den), both being monic
+        cofactor = {den: QRat(d, den).num for den in dens} if rest \
+            else {d: _POLY_ONE}
+        nums = [c.num * cofactor.get(c.den, d) for c in values]
     l1 = sum([sum(map(abs, p.coeffs)) for p in nums])
-    if type(l1) is not int:
-        return None    # a Fraction coefficient makes the sum a Fraction
-    return (min([p.off for p in nums], default=0), l1,
-            max([max(map(abs, p.coeffs)) for p in nums], default=0))
+    if type(l1) is not int or type(sum(d.coeffs)) is not int:
+        # a Fraction coefficient makes its sum a Fraction
+        k = math.lcm(*{x.denominator for p in (d, *nums) for x in p.coeffs
+                       if type(x) is not int})
+        d, nums = d.scale(k), [p.scale(k) for p in nums]
+        l1 = sum([sum(map(abs, p.coeffs)) for p in nums])
+    return d, nums, (min([p.off for p in nums], default=0), l1,
+                     max([max(map(abs, p.coeffs)) for p in nums], default=0))
 
 
 def _encode(coeffs, lo: int, s: int) -> int:
@@ -126,10 +145,11 @@ def _encode(coeffs, lo: int, s: int) -> int:
     return v << (s * lo)
 
 
-def _pack_coeff(c: QRat, s: int, b: int) -> int:
+def _pack_coeff(p: QPoly, s: int, b: int) -> int:
     """Kronecker substitution at slot width s and q-base b <= the least
-    exponent of c: c = q^off * P(q) packs to the int P(2^s) * 2^(s*(off-b)),
-    the value at q = 2^s of q^(off-b) * P(q).
+    exponent of the integer Laurent polynomial p: p = q^off * P(q) packs
+    to the int P(2^s) * 2^(s*(off-b)), the value at q = 2^s of
+    q^(off-b) * P(q).
 
     Packing is a ring homomorphism, so sums and products of packed values
     are the packed sums and products, the bases of a product adding up.
@@ -141,8 +161,7 @@ def _pack_coeff(c: QRat, s: int, b: int) -> int:
     products with L1, a bound on the sum of |c_k| over every slot of every
     term (``_sum_bounds``, ``_product_bounds``).
     """
-    num = c.num
-    return _encode(num.coeffs, num.off - b, s)
+    return _encode(p.coeffs, p.off - b, s)
 
 
 @lru_cache(maxsize=None)
@@ -167,30 +186,15 @@ def _slots(v: int, s: int):
     return lo, [((v >> sh) & mask) - half for sh in range(s * lo, s * top + 1, s)]
 
 
-def _unpack_coeff(v: int, s: int, b: int) -> QRat:
+def _unpack_coeff(v: int, s: int, b: int, d: QPoly) -> QRat:
+    """The canonical ``QRat`` of the packed numerator v over d; only a
+    denominator other than 1 costs a reduction."""
     lo, coeffs = _slots(v, s)
     num = QPoly.__new__(QPoly)
     num.off, num.coeffs = b + lo, tuple(coeffs)
-    return QRat(num, _POLY_ONE, _canonical=True)
-
-
-def _identity(c):
-    return c
-
-
-def _coefficient_ring(operands: list):
-    """([pack per operand], unpack) for sums of products of one value of
-    each of the ``QRat`` dicts ``operands``: packed ints
-    (``_pack_coeff``) at slot width bit_length(product of their L1) + 1
-    when every value is an integer Laurent polynomial, the values
-    themselves otherwise."""
-    laurent = [_int_laurent(t.values()) for t in operands]
-    if None in laurent:
-        return [_identity] * len(operands), _identity
-    s = math.prod([l1 for _, l1, _ in laurent]).bit_length() + 1
-    base = sum([b for b, _, _ in laurent])
-    return ([lambda c, b=b: _pack_coeff(c, s, b) for b, _, _ in laurent],
-            lambda v: _unpack_coeff(v, s, base))
+    if d is _POLY_ONE:
+        return QRat(num, d, _canonical=True)
+    return QRat(num, d)
 
 
 def _rebased(coeffs: dict, s: int, k: int) -> dict:
@@ -201,12 +205,12 @@ def _rebased(coeffs: dict, s: int, k: int) -> dict:
     return {key: v << sh for key, v in coeffs.items()}
 
 
-def _make(n, validity, coeffs, w, e, s, b, l1, m, exact=False):
+def _make(n, validity, coeffs, w, e, s, b, d, l1, m, exact=False):
     """A series over the stored ``coeffs`` (nonzero, inside the bound);
     ``exact`` tells that ``l1`` and ``m`` are the L1 and M themselves."""
     out = ExpansionSeries.__new__(ExpansionSeries)
     out.n, out.validity, out._c, out._terms = n, validity, coeffs, None
-    out._w, out._e, out._s, out._b = w, e, s, b
+    out._w, out._e, out._s, out._b, out._d = w, e, s, b, d
     out._l1, out._m, out._exact = l1, m, exact
     return out
 
@@ -253,9 +257,8 @@ def _aligned(operands: list, bounds):
 
     Operands that share their widths keep them while those hold the
     bounds.  Otherwise each width is the default or the least wider one
-    that holds its bound.  A QRat operand puts all of them on the QRat
-    ring (s = 0).  Carried bounds only grow, so a peak past the default
-    slot width is first recomputed from the operands' slots
+    that holds its bound.  Carried bounds only grow, so a peak past the
+    default slot width is first recomputed from the operands' slots
     (``_tighten``).  An operand narrowed to s keeps its narrower layout,
     as ``_tighten`` keeps its lower bounds: both leave the value as it is.
     """
@@ -265,29 +268,41 @@ def _aligned(operands: list, bounds):
         if x._w != w or x._s != s:
             break
     else:
-        if not e >> (w - 1) and not (s and peak >> (s - 1)):
+        if not e >> (w - 1) and not peak >> (s - 1):
             return operands, w, s, l1, m
     w = _width(_KEY_WIDTH, e)
-    if all([x._s for x in operands]):
-        if peak >> (_SLOT_WIDTH - 1):
-            for x in operands:
-                if not x._exact:
-                    x._tighten()
-            e, peak, l1, m = bounds(operands)
-        s = _width(_SLOT_WIDTH, peak)
-    else:
-        s = 0
+    if peak >> (_SLOT_WIDTH - 1):
+        for x in operands:
+            if not x._exact:
+                x._tighten()
+        e, peak, l1, m = bounds(operands)
+    s = _width(_SLOT_WIDTH, peak)
     out = []
     for x in operands:
         if x._w != w or x._s != s:
             y = x._relaid(w, s)
-            if 0 < s < x._s:
+            if s < x._s:
                 # the narrower layout serves every later use too: adopt it
                 x._c, x._w, x._s = y._c, w, s
             else:
                 x = y
         out.append(x)
     return out, w, s, l1, m
+
+
+def _common(x: "ExpansionSeries", y: "ExpansionSeries") -> list:
+    """[x, y] over one denominator, the lcm of theirs
+    (``_over_one_denominator`` of 1/D_x and 1/D_y): each one's numerators
+    times its cofactor D/D_x.  Equal denominators cost nothing."""
+    if x._d is y._d or x._d == y._d:
+        return [x, y]
+    d, cofactors, _ = _over_one_denominator(
+        [QRat(_POLY_ONE, x._d), QRat(_POLY_ONE, y._d)])
+    out = [z._shift_scale(ExpansionSeries.monomial(z.n, (0,) * z.n, QRat(c)))
+           for z, c in zip((x, y), cofactors)]
+    for z in out:
+        z._d = d
+    return out
 
 
 def _product(n: int, operands: list) -> "ExpansionSeries":
@@ -297,13 +312,13 @@ def _product(n: int, operands: list) -> "ExpansionSeries":
     left).
 
     The operands are brought to one descriptor (``_aligned``).  Each step
-    sums its pairs over the stored ints, or ``QRat``s, with the next
-    operand sorted by key, hence by ratio degree: a pair is kept when the
-    key of a + b is below the limit key of the bound, so each row stops
-    at a bisection.  Each step drops its zero sums.  A product of
-    nonempty series is nonempty, because its least-degree part is the
-    product of theirs, so every step has a least degree on both sides.
-    The result is returned packed.
+    sums its pairs over the stored ints with the next operand sorted by
+    key, hence by ratio degree: a pair is kept when the key of a + b is
+    below the limit key of the bound, so each row stops at a bisection.
+    Each step drops its zero sums.  A product of nonempty series is
+    nonempty, because its least-degree part is the product of theirs, so
+    every step has a least degree on both sides.  The denominators
+    multiply.  The result is returned packed.
     """
     operands, w, s, l1, m = _aligned(operands, _product_bounds)
     layout = _key_layout(n, w)
@@ -322,44 +337,47 @@ def _product(n: int, operands: list) -> "ExpansionSeries":
                 c = ca * cb
                 t = sums.get(key)
                 sums[key] = c if t is None else t + c
-        # a zero sum, packed int or QRat, is falsy
         sums = {k: c for k, c in sums.items() if c}
     b = sum([x._b for x in operands])
-    if s:
-        # truncation can drop the least q-exponents: raise the base to the
-        # least one left, the lowest set bit of any value
-        lo = (min([c & -c for c in sums.values()]).bit_length() - 1) // s
-        if lo:
-            sums, b = {k: c >> (s * lo) for k, c in sums.items()}, b + lo
+    d = reduce(operator.mul, [x._d for x in operands])
+    # truncation can drop the least q-exponents: raise the base to the
+    # least one left, the lowest set bit of any value
+    lo = (min([c & -c for c in sums.values()]).bit_length() - 1) // s
+    if lo:
+        sums, b = {k: c >> (s * lo) for k, c in sums.items()}, b + lo
     return _make(n, validity, sums, w, sum([x._e for x in operands]), s, b,
-                 l1, m)
+                 d, l1, m)
 
 
 class ExpansionSeries:
     """Sparse truncated Laurent expansion with an explicit validity bound.
 
     ``_c`` maps the packed key (``_key_layout``, digit width ``_w``) of
-    each exponent vector with a nonzero coefficient to that coefficient.
-    When every coefficient is an integer Laurent polynomial it is stored
-    as a packed int (``_pack_coeff``) at slot width ``_s`` and q-base
-    ``_b``; otherwise ``_s`` is 0 and the coefficients stay ``QRat``.
-    Beside this descriptor the series carries bounds: ``_e`` on the
-    largest |exponent|, ``_l1`` on the sum and ``_m`` on the largest of
-    the |coefficients| of every slot of every term, with _e < 2^(_w-1) and
-    _m < 2^(_s-1); ``_exact`` tells that ``_l1`` and ``_m`` are exact.
-    Widths start at the defaults, or at the least wider ones the bounds
-    need, and change only where an operation's bounds would overflow
-    them or its operands' widths differ (``_aligned``).  An operand on
-    the integer ring meeting one on the QRat ring is lifted to it.
+    each exponent vector with a nonzero coefficient to the packed int
+    (``_pack_coeff``, slot width ``_s``, q-base ``_b``) of that
+    coefficient's integer Laurent numerator over the series' one integer
+    polynomial denominator ``_d`` (``_over_one_denominator``), which is
+    ``_POLY_ONE`` itself when every coefficient is an integer Laurent
+    polynomial.  Beside this descriptor the series carries bounds: ``_e``
+    on the largest |exponent|, ``_l1`` on the sum and ``_m`` on the
+    largest of the |coefficients| of every slot of every numerator, with
+    _e < 2^(_w-1) and _m < 2^(_s-1); ``_exact`` tells that ``_l1`` and
+    ``_m`` are exact.  Widths start at the defaults, or at the least
+    wider ones the bounds need, and change only where an operation's
+    bounds would overflow them or its operands' widths differ
+    (``_aligned``).
 
-    Sums, products and comparisons work on the stored ints.  Coefficients
-    are decoded only by ``coefficient``, by ``to_json``, which caches
-    nothing, and by ``terms``, the {exponent vector: QRat} view for
-    readers outside this module, built on first use and kept.
+    Products multiply the denominators; sums and comparisons first bring
+    both operands to the lcm of theirs (``_common``).  Coefficients are
+    reduced to their canonical ``QRat`` only by ``coefficient``, by
+    ``to_json``, which caches nothing, and by ``terms``, the
+    {exponent vector: QRat} view for readers outside this module, built
+    on first use and kept; the last two reduce each distinct packed value
+    once.
     """
 
-    __slots__ = ("n", "validity", "_c", "_w", "_e", "_s", "_b", "_l1", "_m",
-                 "_exact", "_terms")
+    __slots__ = ("n", "validity", "_c", "_w", "_e", "_s", "_b", "_d", "_l1",
+                 "_m", "_exact", "_terms")
 
     def __init__(self, n: int, terms=None, validity=INF):
         terms = {a: c for a, c in (terms or {}).items()
@@ -367,17 +385,12 @@ class ExpansionSeries:
         e = max(map(abs, chain.from_iterable(terms)), default=0)
         w = _width(_KEY_WIDTH, e)
         layout = _key_layout(n, w)
-        ring = _int_laurent(terms.values())
-        if ring is None:
-            s = b = l1 = m = 0
-            coeffs = {_pack_key(a, layout): c for a, c in terms.items()}
-        else:
-            b, l1, m = ring
-            s = _width(_SLOT_WIDTH, m)
-            coeffs = {_pack_key(a, layout): _pack_coeff(c, s, b)
-                      for a, c in terms.items()}
+        d, nums, (b, l1, m) = _over_one_denominator(list(terms.values()))
+        s = _width(_SLOT_WIDTH, m)
+        coeffs = {_pack_key(a, layout): _pack_coeff(p, s, b)
+                  for a, p in zip(terms, nums)}
         self.n, self.validity, self._c, self._terms = n, validity, coeffs, None
-        self._w, self._e, self._s, self._b = w, e, s, b
+        self._w, self._e, self._s, self._b, self._d = w, e, s, b, d
         self._l1, self._m, self._exact = l1, m, True
 
     # -- constructors ---------------------------------------------------
@@ -400,10 +413,10 @@ class ExpansionSeries:
     def terms(self) -> dict:
         """{exponent vector: QRat} of the stored terms, decoded once."""
         if self._terms is None:
-            layout, s, b = _key_layout(self.n, self._w), self._s, self._b
-            self._terms = {
-                _unpack_key(k, layout): _unpack_coeff(c, s, b) if s else c
-                for k, c in self._c.items()}
+            layout, s, b, d = _key_layout(self.n, self._w), self._s, self._b, self._d
+            values = {v: _unpack_coeff(v, s, b, d) for v in set(self._c.values())}
+            self._terms = {_unpack_key(k, layout): values[v]
+                           for k, v in self._c.items()}
         return self._terms
 
     def coefficient(self, a) -> QRat:
@@ -414,7 +427,7 @@ class ExpansionSeries:
         v = self._c.get(_pack_key(a, _key_layout(self.n, self._w)))
         if v is None:
             return ZERO
-        return _unpack_coeff(v, self._s, self._b) if self._s else v
+        return _unpack_coeff(v, self._s, self._b, self._d)
 
     def min_degree_bound(self):
         """A lower bound on the true minimal ratio degree of the series."""
@@ -441,28 +454,23 @@ class ExpansionSeries:
         self._l1, self._m, self._exact = l1, m, True
 
     def _relaid(self, w: int, s: int) -> "ExpansionSeries":
-        """The same series at key width w and slot width s; s = 0 lifts
-        the coefficients to ``QRat``."""
-        coeffs, s0, b, l1, m = self._c, self._s, self._b, self._l1, self._m
+        """The same series at key width w and slot width s."""
+        coeffs, s0 = self._c, self._s
         if w != self._w:
             old, new = _key_layout(self.n, self._w), _key_layout(self.n, w)
             coeffs = {_pack_key(_unpack_key(k, old), new): v
                       for k, v in coeffs.items()}
-        if not s:
-            if s0:
-                coeffs = {k: _unpack_coeff(v, s0, b) for k, v in coeffs.items()}
-            b = l1 = m = 0
-        elif s != s0:
+        if s != s0:
             coeffs = {k: _encode(*reversed(_slots(v, s0)), s)
                       for k, v in coeffs.items()}
-        return _make(self.n, self.validity, coeffs, w, self._e, s, b, l1, m,
-                     self._exact)
+        return _make(self.n, self.validity, coeffs, w, self._e, s, self._b,
+                     self._d, self._l1, self._m, self._exact)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "ExpansionSeries") -> "ExpansionSeries":
         self._check_mate(other)
-        (x, y), w, s, l1, m = _aligned([self, other], _sum_bounds)
+        (x, y), w, s, l1, m = _aligned(_common(self, other), _sum_bounds)
         validity = min(x.validity, y.validity)
         limit = _key_limit(validity, _key_layout(self.n, w))
         xc, yc = x._c, y._c
@@ -472,8 +480,7 @@ class ExpansionSeries:
             yc = {k: c for k, c in yc.items() if k < limit}
         # both at the lower base of the two nonempty operands
         b = x._b if not yc or (xc and x._b <= y._b) else y._b
-        if s:
-            xc, yc = _rebased(xc, s, x._b - b), _rebased(yc, s, y._b - b)
+        xc, yc = _rebased(xc, s, x._b - b), _rebased(yc, s, y._b - b)
         # only coinciding terms can cancel
         terms = dict(xc)
         for k, c in yc.items():
@@ -484,12 +491,13 @@ class ExpansionSeries:
                 terms[k] = t
             else:
                 del terms[k]
-        return _make(self.n, validity, terms, w, max(x._e, y._e), s, b, l1, m)
+        return _make(self.n, validity, terms, w, max(x._e, y._e), s, b, x._d,
+                     l1, m)
 
     def __neg__(self) -> "ExpansionSeries":
         return _make(self.n, self.validity, {k: -c for k, c in self._c.items()},
-                     self._w, self._e, self._s, self._b, self._l1, self._m,
-                     self._exact)
+                     self._w, self._e, self._s, self._b, self._d, self._l1,
+                     self._m, self._exact)
 
     def scale(self, c) -> "ExpansionSeries":
         c = qnum(c)
@@ -500,22 +508,23 @@ class ExpansionSeries:
     def _shift_scale(self, term: "ExpansionSeries") -> "ExpansionSeries":
         """Product with the exact single-term series ``term`` = c*z^a.
 
-        Every key moves by the key of a and every coefficient is
-        multiplied by c; a packed c = q^k is the int 1 at base k, which
-        moves only the base.  Every stored exponent b has d(b) <= validity,
-        so every shifted exponent satisfies d(a+b) <= validity + d(a), the
-        bound of the product; nonzero coefficients stay nonzero.  The
-        result is therefore built directly, without re-filtering its terms.
+        Every key moves by the key of a, every numerator is multiplied by
+        that of c and the denominators multiply; a numerator q^k is the
+        int 1 at base k, which moves only the base.  Every stored exponent
+        b has d(b) <= validity, so every shifted exponent satisfies
+        d(a+b) <= validity + d(a), the bound of the product; nonzero
+        coefficients stay nonzero.  The result is therefore built
+        directly, without re-filtering its terms.
         """
         (x, t), w, s, l1, m = _aligned([self, term], _product_bounds)
         (kt, ct), = t._c.items()
-        if ct == 1 if s else ct.is_one():
+        if ct == 1:
             coeffs = {k + kt: c for k, c in x._c.items()}
         else:
             coeffs = {k + kt: c * ct for k, c in x._c.items()}
         return _make(self.n, x.validity + _key_degree(kt, _key_layout(self.n, w)),
-                     coeffs, w, x._e + t._e, s, x._b + t._b, l1, m,
-                     x._exact and t._l1 == 1)
+                     coeffs, w, x._e + t._e, s, x._b + t._b, x._d * t._d,
+                     l1, m, x._exact and t._l1 == 1)
 
     def mul(self, other: "ExpansionSeries") -> "ExpansionSeries":
         """Truncated product: every pair with d(a) + d(b) <= validity.
@@ -547,10 +556,9 @@ class ExpansionSeries:
         self._check_mate(other)
         if bound > min(self.validity, other.validity):
             raise ValueError("insufficient truncation")
-        (x, y), w, s, _, _ = _aligned([self, other], _compare_bounds)
-        xc, yc, b = x._c, y._c, min(x._b, y._b)
-        if s:
-            xc, yc = _rebased(xc, s, x._b - b), _rebased(yc, s, y._b - b)
+        (x, y), w, s, _, _ = _aligned(_common(self, other), _compare_bounds)
+        b = min(x._b, y._b)
+        xc, yc = _rebased(x._c, s, x._b - b), _rebased(y._c, s, y._b - b)
         if xc == yc:
             return None
         layout = _key_layout(self.n, w)
@@ -560,7 +568,7 @@ class ExpansionSeries:
         if not keys:
             return None
         k = min(keys)
-        pair = [ZERO if c is None else _unpack_coeff(c, s, b) if s else c
+        pair = [ZERO if c is None else _unpack_coeff(c, s, b, x._d)
                 for c in (xc.get(k), yc.get(k))]
         return (_unpack_key(k, layout), *pair)
 
@@ -595,20 +603,19 @@ class ExpansionSeries:
 
     def _json(self, shared: dict):
         """``to_json`` with ``QRat._json``'s one object per distinct
-        coefficient in ``shared``.  A packed value, with its slot width and
-        base, and a packed key, with its width, key ``shared`` too, so that
-        a value or an exponent vector met again is not decoded again."""
-        w, s, b = self._w, self._s, self._b
-        layout = _key_layout(self.n, w)
+        coefficient in ``shared``.  A packed numerator, with its slot
+        width, base and denominator, and a packed key, with its width, key
+        ``shared`` too, so that a value or an exponent vector met again is
+        not reduced or decoded again."""
+        w, s, b, d = self._w, self._s, self._b, self._d
+        layout, den = _key_layout(self.n, w), d.coeffs
         terms = []
         for k, c in self._c.items():
             a = shared.get((w, k))
             if a is None:
                 a = shared[w, k] = list(_unpack_key(k, layout))
-            if not s:
-                j = c._json(shared)
-            elif (j := shared.get((s, b, c))) is None:
-                j = shared[s, b, c] = _unpack_coeff(c, s, b)._json(shared)
+            if (j := shared.get((s, b, den, c))) is None:
+                j = shared[s, b, den, c] = _unpack_coeff(c, s, b, d)._json(shared)
             terms.append([a, j])
         terms.sort(key=_first)
         v = self.validity

@@ -1,5 +1,6 @@
 """Weight functions: combinatorics, the two evaluators, mode expansion."""
 
+import gc
 from math import prod
 
 import pytest
@@ -187,6 +188,23 @@ def test_closed_equals_recursive(n):
     for closed, recursive in ((weight_plus_closed, weight_plus_recursive),
                               (weight_minus_closed, weight_minus_recursive)):
         assert closed(n, depth).equal_up_to(recursive(n, depth), depth)
+
+
+@pytest.mark.parametrize("recursive", [weight_plus_recursive,
+                                       weight_minus_recursive])
+def test_the_recursions_leave_no_memoised_expressions_to_the_collector(recursive):
+    def cyclic_garbage(n):
+        gc.collect()
+        gc.disable()
+        try:
+            recursive(n, 2)
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    # only the recursion's own closures are cyclic: as many at n=4 as at
+    # n=2, where every intermediate expression would add to the count
+    assert cyclic_garbage(4) == cyclic_garbage(2) < 20
 
 
 def test_minus_recursion_n1():
@@ -394,20 +412,24 @@ def test_weighted_sum_edge_cases_equal_the_plain_loop(orientation):
 
 
 def test_symbol_modes_is_the_prefactor_times_the_integer_table():
-    from uqa22.projection import _symbol_table
+    from uqa22.projection import _SYMBOL_TABLES
     from uqa22.ncalg import PF_MINUS, PF_PLUS, PS_TILDE_MINUS
     for sym in (abstract(PF_PLUS, 2), abstract(PF_MINUS, 1),
                 abstract(PS_PLUS, 1), abstract(PS_PLUS, 2, True),
                 abstract(PS_TILDE_MINUS, 1), abstract(PS_TILDE_MINUS, 2, True)):
-        prefactor, table = _symbol_table(sym, 2, 4)
-        for series in table.coeffs.values():
-            for c in series.terms.values():
+        prefactor = _SYMBOL_TABLES[sym.kind][0]
+        full = symbol_modes(sym, 2, 4)
+        assert full.coeffs
+        for series in full.coeffs.values():
+            # packed integer numerators over the prefactor's denominator
+            assert series._d == prefactor.den
+            assert all(type(v) is int for v in series._c.values())
+            table = ExpansionSeries(2, {a: c / prefactor
+                                        for a, c in series.terms.items()})
+            for c in table.terms.values():
                 assert c.den.is_one()
                 assert all(type(x) is int for x in c.num.coeffs)
-        full = symbol_modes(sym, 2, 4)
-        assert set(full.coeffs) == set(table.coeffs)
-        for word, series in table.coeffs.items():
-            assert full.coeffs[word].terms == series.scale(prefactor).terms
+            assert series.terms == table.scale(prefactor).terms
 
 
 def test_clear_caches_empties_the_caches_and_recomputes_equal_values():
