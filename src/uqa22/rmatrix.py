@@ -16,11 +16,10 @@ from math import factorial
 
 from .ncalg import (ModeSymbol, NCExpr, _symbol_from_json, _symbol_json,
                     iota_word, principal_degree)
-from .qfield import _POLY_ONE, QRat, qnum, qpow
+from .qfield import QRat, qnum, qpow
 from .projection import (_SYMBOL_TABLES, WeightExpr, mode_expand,
                          weight_minus_closed, weight_plus_closed)
-from .series import (ExpansionSeries, _over_one_denominator, _pack_coeff,
-                     _unpack_coeff)
+from .series import ExpansionSeries, pair_sums
 
 
 @dataclass(frozen=True)
@@ -104,37 +103,6 @@ def _reachable(expr: NCExpr, window: int) -> NCExpr:
     return NCExpr(n, coeffs, expr.validity)
 
 
-def _pair_sum(coeffs: dict, m: int) -> dict:
-    """The order-m pairing terms of the nonempty coefficients c keyed by
-    (word, exponent): the sum over exponents a of
-    (q - q^-1)^m / m! * c(w_l, a) * c(w_r, a), keyed by (iota(w_l), w_r).
-
-    Every c is written as an integer Laurent numerator over one
-    denominator D (``_over_one_denominator``) and packed at a slot width
-    that holds L1^2, a bound on every slot of every pair sum: the pairs
-    multiply and add as packed ints.  Each key's sum is unpacked once and
-    divided by D^2 with the coupling.
-    """
-    d, nums, (b, l1, _) = _over_one_denominator(list(coeffs.values()))
-    s = (l1 * l1).bit_length() + 1
-    by_exp = {}
-    for (word, a), p in zip(coeffs, nums):
-        by_exp.setdefault(a, []).append((word, _pack_coeff(p, s, b)))
-    sums = {}
-    for pairs in by_exp.values():
-        for wl, cl in pairs:
-            left = iota_word(wl)
-            for wr, cr in pairs:
-                key = (left, wr)
-                c = cl * cr
-                t = sums.get(key)
-                sums[key] = c if t is None else t + c
-    # integer coefficients meet the Fraction 1/m! only in a monomial product
-    scale, inv_fact = _coupling() ** m / QRat(d * d), qnum(1) / factorial(m)
-    return {k: _unpack_coeff(v, s, 2 * b, _POLY_ONE) * scale * inv_fact
-            for k, v in sums.items() if v}
-
-
 def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
     """Order-m term of one R factor.
 
@@ -142,7 +110,8 @@ def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
     function for ``sign``; the e leg is its involution transport.  Both
     legs therefore read off the same mode-coefficient table: for each
     exponent vector in the window the stored words pair up, the left
-    words passing through the involution (``_pair_sum``).
+    words passing through the involution (``pair_sums``, with the
+    coupling (q-q^-1)^m; then 1/m!, once per distinct sum).
 
     The expansion depth is raised internally to window * m(m+1)/2, the
     largest ratio degree in the window.  Only the weight terms that can
@@ -161,10 +130,12 @@ def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
     w = weight(m, max(depth, window * m * (m + 1) // 2))
     modes = mode_expand(WeightExpr(_reachable(w.expr, window), w.orientation),
                         window)
-    return TensorExpr(_pair_sum(
-        {(word, a): c for word, series in modes.coeffs.items()
-         for a, c in series.terms.items() if all(abs(e) <= window for e in a)},
-        m), m, window)
+    sums = pair_sums(modes.coeffs, lambda a: all(abs(e) <= window for e in a),
+                     _coupling() ** m)
+    inv_fact = qnum(1) / factorial(m)
+    scaled = {c: c * inv_fact for c in set(sums.values())}
+    return TensorExpr({(iota_word(wl), wr): scaled[c]
+                       for (wl, wr), c in sums.items()}, m, window)
 
 
 def cartan_coeff(n: int) -> QRat:

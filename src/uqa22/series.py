@@ -53,7 +53,8 @@ def unit_vec(n: int, i: int, value: int = 1):
 # key packs the exponent vector (``_key_layout``).  The numerator packs an
 # integer Laurent polynomial (``_pack_coeff``), and every numerator of the
 # series shares one integer polynomial denominator, the series' D
-# (``_over_one_denominator``), which is 1 on the whole weight path.
+# (``_over_one_denominator``), which is 1 on the whole weight path.  No
+# other module reads this format: they read ``terms`` or ``pair_sums``.
 
 _KEY_WIDTH = 16     # default key digit width: every |exponent| < 2^15
 _SLOT_WIDTH = 20    # default slot width: every |coefficient| < 2^19
@@ -243,6 +244,13 @@ def _sum_bounds(operands):
     return max(x._e, y._e), m, x._l1 + y._l1, m
 
 
+def _pair_bounds(operands):
+    """(e, L1^2, _, _) of ``pair_sums`` of ``operands``, L1 the sum of
+    their L1 bounds, which bounds every slot of every pair sum."""
+    l1 = sum([x._l1 for x in operands])
+    return max([x._e for x in operands]), l1 * l1, 0, 0
+
+
 def _compare_bounds(operands):
     """(e, peak, _, _) of the two ``operands`` side by side."""
     x, y = operands
@@ -290,18 +298,20 @@ def _aligned(operands: list, bounds):
     return out, w, s, l1, m
 
 
-def _common(x: "ExpansionSeries", y: "ExpansionSeries") -> list:
-    """[x, y] over one denominator, the lcm of theirs
-    (``_over_one_denominator`` of 1/D_x and 1/D_y): each one's numerators
+def _common(*operands: "ExpansionSeries") -> list:
+    """The ``operands`` over one denominator, the lcm of theirs
+    (``_over_one_denominator`` of their 1/D_x): each one's numerators
     times its cofactor D/D_x.  Equal denominators cost nothing."""
-    if x._d is y._d or x._d == y._d:
-        return [x, y]
-    d, cofactors, _ = _over_one_denominator(
-        [QRat(_POLY_ONE, x._d), QRat(_POLY_ONE, y._d)])
-    out = [z._shift_scale(ExpansionSeries.monomial(z.n, (0,) * z.n, QRat(c)))
-           for z, c in zip((x, y), cofactors)]
-    for z in out:
-        z._d = d
+    dens = list(dict.fromkeys([x._d for x in operands]))
+    if len(dens) == 1:
+        return list(operands)
+    d, cofactors, _ = _over_one_denominator([QRat(_POLY_ONE, den) for den in dens])
+    n = operands[0].n
+    cofactor = {den: ExpansionSeries.monomial(n, (0,) * n, QRat(c))
+                for den, c in zip(dens, cofactors)}
+    out = [x._shift_scale(cofactor[x._d]) for x in operands]
+    for x in out:
+        x._d = d
     return out
 
 
@@ -631,6 +641,38 @@ class ExpansionSeries:
         )
 
 
+def pair_sums(family: dict, keep, scale: QRat) -> dict:
+    """{(x, y): scale * sum_a c_x(a) c_y(a)} over the labels x, y of the
+    series c_x of ``family`` and the a with keep(a), for the nonzero sums.
+    The series are brought to one denominator D (``_common``), one key
+    width, a slot width that holds every pair sum (``_pair_bounds``) and
+    one q-base; keys are decoded only to test ``keep``.  The pairs
+    multiply and add as packed ints; each distinct nonzero sum is
+    unpacked once, times scale / D^2 as one reduced ``QRat``."""
+    if not family:
+        return {}
+    operands, w, s, _, _ = _aligned(_common(*family.values()), _pair_bounds)
+    layout = _key_layout(operands[0].n, w)
+    b = min([x._b for x in operands if x._c], default=0)
+    inside = {k for k in set().union(*[x._c for x in operands])
+              if keep(_unpack_key(k, layout))}
+    by_key = {}
+    for label, x in zip(family, operands):
+        kept = {k: v for k, v in x._c.items() if k in inside}
+        for k, v in _rebased(kept, s, x._b - b).items():
+            by_key.setdefault(k, []).append((label, v))
+    sums = {}
+    for pairs in by_key.values():
+        for x, cx in pairs:
+            for y, cy in pairs:
+                sums[x, y] = sums.get((x, y), 0) + cx * cy
+    d = operands[0]._d
+    scale = scale / QRat(d * d)
+    values = {v: _unpack_coeff(v, s, 2 * b, _POLY_ONE) * scale
+              for v in set(sums.values()) if v}
+    return {key: values[v] for key, v in sums.items() if v}
+
+
 def _merge(kept: list, u, i, v, j, m):
     """Merge the binomial (u*z_i + v*z_j)^m into the first proportional
     binomial of ``kept``, in place, so that inverse pairs cancel exactly
@@ -750,19 +792,6 @@ class FactoredRational:
         return FactoredRational(
             self.n, ONE, mono,
             tuple((u, i, v, j, -m) for u, i, v, j, m in self.factors if m < 0))
-
-    def total_degree(self) -> int:
-        """Homogeneity degree in the z variables."""
-        return sum(self.monomial) + sum(m for *_, m in self.factors)
-
-    def leading(self):
-        """(coefficient, exponent vector) of the dominant monomial."""
-        mono = list(self.monomial)
-        coeff = self.scalar
-        for u, i, _v, _j, m in self.factors:
-            mono[i - 1] += m
-            coeff = coeff * u ** m
-        return coeff, tuple(mono)
 
     # -- expansion and evaluation -----------------------------------------
 

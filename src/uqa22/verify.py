@@ -285,7 +285,7 @@ def _suite_kernels(seed) -> SuiteReport:
             * build_kernel(kind, qnum(1), 2, 1, 2)
         num = f.numerator_part().expand(0)
         den = f.denominator_part().expand(0)
-        rep.record(f"{kind}(x){kind}(1/x)=1", num.terms == den.terms)
+        rep.record(f"{kind}(x){kind}(1/x)=1", num == den)
     for kind in ("alpha", "beta", "gamma"):
         consts = [(c, residue_constant(kind, c)) for c in kernel_poles(kind)]
         _record_sampled(rep, f"{kind}-residue-reconstruction", _first_failure(
@@ -327,7 +327,7 @@ def _suite_duality(seed, window=6) -> SuiteReport:
     a_swapped = FactoredRational(
         2, 1, None, [(v, 1, u, 2, m) for u, _i, v, _j, m in a.factors])
     rep.record("exchange-relation-transport",
-               a_swapped.expand(0).terms == b.expand(0).scale(qnum(-1)).terms)
+               a_swapped.expand(0) == b.expand(0).scale(qnum(-1)))
     return rep
 
 

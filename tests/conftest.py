@@ -1,4 +1,5 @@
-"""Shared helpers: random exact scalars and an independent expansion oracle."""
+"""Shared helpers: random exact scalars, reference degree and leading-term
+readers of a factored rational, and an independent expansion oracle."""
 
 from __future__ import annotations
 
@@ -34,6 +35,22 @@ def substitute_scale(series, i: int, c) -> ExpansionSeries:
     return ExpansionSeries(
         series.n, {a: s * c ** a[i - 1] for a, s in series.terms.items()},
         series.validity)
+
+
+def total_degree(fr) -> int:
+    """Homogeneity degree in the z variables of a ``FactoredRational``."""
+    return sum(fr.monomial) + sum(m for *_, m in fr.factors)
+
+
+def leading(fr):
+    """(coefficient, exponent vector) of the dominant monomial of a
+    ``FactoredRational`` in |z_1| >> ... >> |z_n|."""
+    mono = list(fr.monomial)
+    coeff = fr.scalar
+    for u, i, _v, _j, m in fr.factors:
+        mono[i - 1] += m
+        coeff = coeff * u ** m
+    return coeff, tuple(mono)
 
 
 def brute_expand(fr, rel_depth: int):

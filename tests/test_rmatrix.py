@@ -5,20 +5,20 @@ from math import factorial
 
 import pytest
 
-from uqa22.ncalg import ModeSymbol, principal_degree
+from uqa22.ncalg import ModeSymbol, iota_word, principal_degree
 from uqa22.projection import (WeightExpr, mode_expand, weight_minus_closed,
                               weight_plus_closed, weight_plus_recursive)
 from uqa22.qfield import qnum, qpow
 from uqa22.rmatrix import (
     H_TENSOR_H,
     TensorExpr,
-    _pair_sum,
     _reachable,
     assemble_R,
     cartan_coeff,
     cartan_tensor,
     r_factor,
 )
+from uqa22.series import ExpansionSeries, pair_sums
 
 q = qpow(1)
 coupling = q - qpow(-1)
@@ -200,9 +200,75 @@ def _synthetic_coefficients(c):
 ])
 def test_pair_sum_equals_the_per_pair_reference_off_the_fast_case(m, c):
     coeffs = _synthetic_coefficients(c)
-    got = _pair_sum(coeffs, m)
+    family = {}
+    for (word, a), v in coeffs.items():
+        family.setdefault(word, {})[a] = v
+    # r_factor's coupling: the pair sums with (q-q^-1)^m, then 1/m!
+    sums = pair_sums({w: ExpansionSeries(2, t) for w, t in family.items()},
+                     lambda a: True, coupling ** m)
+    got = {(iota_word(wl), wr): v / factorial(m) for (wl, wr), v in sums.items()}
     assert ((e(-1),), (f(2),)) not in got
     assert got == _per_pair_reference(coeffs, m)
+
+
+def _pair_sums_reference(family, keep, scale):
+    # every pair of labels, summed over the decoded terms
+    want = {}
+    for x, sx in family.items():
+        for y, sy in family.items():
+            total = qnum(0)
+            for a, c in sx.terms.items():
+                if keep(a) and a in sy.terms:
+                    total = total + c * sy.terms[a]
+            if not total.is_zero():
+                want[(x, y)] = scale * total
+    return want
+
+
+def _in_window(a):
+    return all(abs(x) <= 2 for x in a)
+
+
+def test_pair_sums_over_mixed_denominators_and_q_bases():
+    c = 1 + q ** 3
+    low = ExpansionSeries(2, {(0, 1): qpow(-9) - 2, (5, 0): qnum(7)})
+    family = {
+        # over 1, at the q-base -9 and with a term outside the window
+        "one": low + ExpansionSeries(2, {(1, 0): 3 * q ** 7}),
+        # over 1+q^3, at the base -3
+        "c": ExpansionSeries(2, {(0, 1): qpow(-3) / c, (1, 0): (q + 2) / c,
+                                 (2, -1): q / c}, 4),
+        # over (1+q^3)^2, at the base 0
+        "c^2": ExpansionSeries(2, {(1, 0): q ** 9 / (c * c),
+                                   (2, -1): qnum(-1) / (c * c)}),
+        # over 3, at the base 2 and past the default slot width
+        "wide": ExpansionSeries(2, {(1, 0): 2 ** 40 * q ** 3,
+                                    (0, 1): q ** 2 / 3}),
+    }
+    assert {s._d.coeffs for s in family.values()} \
+        == {(1,), c.num.coeffs, (c * c).num.coeffs, (3,)}
+    assert len({s._b for s in family.values()}) == 4
+    for m in (1, 2):
+        got = pair_sums(family, _in_window, coupling ** m)
+        assert got == _pair_sums_reference(family, _in_window, coupling ** m)
+        assert len(got) == 16
+
+
+def test_pair_sums_drop_the_cancelled_pairs():
+    c = qnum(1) / (1 + q ** 3)
+    # orthogonal in the window: every pair of distinct labels cancels
+    x = ExpansionSeries(2, {(0, 1): c, (1, 0): c * q, (3, 0): c})
+    y = ExpansionSeries(2, {(0, 1): q, (1, 0): qnum(-1), (3, 0): q})
+    got = pair_sums({"x": x, "y": y}, _in_window, coupling)
+    assert got == _pair_sums_reference({"x": x, "y": y}, _in_window, coupling)
+    assert set(got) == {("x", "x"), ("y", "y")}
+    # over Q(q) a diagonal sum of squares vanishes only with every term, so
+    # a family whose pairs all cancel has no coefficient left in the window
+    gone = x + -x
+    outside = ExpansionSeries(2, {(3, 0): c, (0, -4): q})
+    assert pair_sums({"gone": gone, "outside": outside, "y": y + -y},
+                     _in_window, coupling) == {}
+    assert pair_sums({}, _in_window, coupling) == {}
 
 
 def test_r_factor_rejects_an_unknown_sign_at_every_order():

@@ -3,13 +3,16 @@
 import json
 import operator
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_expand, random_monomial, rational_stream, substitute_scale
+from conftest import (brute_expand, leading, random_monomial, rational_stream,
+                      substitute_scale, total_degree)
 from uqa22.blocks import ArgList, build_block, build_kernel
 from uqa22.ncalg import NCExpr, mode
 from uqa22 import series as series_module
@@ -152,7 +155,7 @@ def test_eval_exact_pole_hit():
 def test_degree_zero_blocks_have_degree_zero_expansions():
     for kind in ("rho", "lambda", "mu", "nu"):
         fr = build_block(kind, ArgList((1, 2), 3), 1, 3)
-        assert fr.total_degree() == 0
+        assert total_degree(fr) == 0
         for a in fr.expand(4).terms:
             assert sum(a) == 0
 
@@ -280,7 +283,7 @@ def test_validity_of_products():
     seen_truncated = False
     for _ in range(10):
         a = _random_factored(rng, 3)
-        lead_deg = ratio_degree(a.leading()[1])
+        lead_deg = ratio_degree(leading(a)[1])
         has_inverse = any(m < 0 for *_, m in a.factors)
         if has_inverse:
             seen_truncated = True
@@ -792,3 +795,15 @@ def test_to_json_keeps_equal_numerators_over_different_denominators_apart():
     # terms in exponent order: z2 before z1
     assert got == [[qnum(2).to_json(), q.to_json()],
                    [(qnum(2) / c).to_json(), (q / c).to_json()]]
+
+
+def test_only_series_names_the_packed_format_helpers():
+    # the packed keys and numerators are private to series.py: every other
+    # module reads series through ExpansionSeries and pair_sums
+    private = re.compile(r"\b(_pack_coeff|_unpack_coeff|_over_one_denominator"
+                         r"|_slots|_key_layout)\b")
+    src = Path(__file__).resolve().parents[1] / "src" / "uqa22"
+    named = {p.name: sorted(set(private.findall(p.read_text())))
+             for p in sorted(src.glob("*.py")) if p.name != "series.py"}
+    assert len(named) >= 9
+    assert {name: found for name, found in named.items() if found} == {}
