@@ -128,15 +128,19 @@ def _over_one_denominator(values):
         cofactor = {den: QRat(d, den).num for den in dens} if rest \
             else {d: _POLY_ONE}
         nums = [c.num * cofactor.get(c.den, d) for c in values]
+    d, *nums = _integral(d, *nums)
     l1 = sum([sum(map(abs, p.coeffs)) for p in nums])
-    if type(l1) is not int or type(sum(d.coeffs)) is not int:
-        # a Fraction coefficient makes its sum a Fraction
-        k = math.lcm(*{x.denominator for p in (d, *nums) for x in p.coeffs
-                       if type(x) is not int})
-        d, nums = d.scale(k), [p.scale(k) for p in nums]
-        l1 = sum([sum(map(abs, p.coeffs)) for p in nums])
     return d, nums, (min([p.off for p in nums], default=0), l1,
                      max([max(map(abs, p.coeffs)) for p in nums], default=0))
+
+
+def _integral(*polys):
+    """``polys`` times the least positive integer that makes every
+    coefficient of them an int; the same objects when that is 1."""
+    if type(sum(chain.from_iterable([p.coeffs for p in polys]))) is int:
+        return polys    # a Fraction coefficient makes the sum a Fraction
+    k = math.lcm(*{x.denominator for p in polys for x in p.coeffs if type(x) is not int})
+    return [p.scale(k) for p in polys]
 
 
 def _encode(coeffs, lo: int, s: int) -> int:
@@ -605,9 +609,6 @@ class ExpansionSeries:
             bits.append(f"({self.terms[a]})*{mono}")
         return " + ".join(bits)
 
-    def sorted_terms(self):
-        return [(a, self.terms[a]) for a in sorted(self.terms)]
-
     def to_json(self):
         return self._json({})
 
@@ -677,9 +678,11 @@ def _merge(kept: list, u, i, v, j, m):
     """Merge the binomial (u*z_i + v*z_j)^m into the first proportional
     binomial of ``kept``, in place, so that inverse pairs cancel exactly
     instead of meeting again at a pole: the scalar (u/u0)^m that the merge
-    leaves over, or None when no binomial of ``kept`` is proportional."""
+    leaves over, or None when no binomial of ``kept`` is proportional;
+    u0 v = v0 u is tested on cross products of numerators and denominators."""
     for pos, (u0, i0, v0, j0, m0) in enumerate(kept):
-        if i0 == i and j0 == j and u0 * v == v0 * u:
+        if i0 == i and j0 == j and u0.num * v.num * (v0.den * u.den) \
+                == v0.num * u.num * (u0.den * v.den):
             if m0 + m == 0:
                 kept.pop(pos)
             else:
@@ -729,18 +732,8 @@ class FactoredRational:
                 kept.append((u, i, v, j, m))
             else:
                 scalar = scalar * merged
-        self._set(scalar, mono, kept)
-
-    def _set(self, scalar, mono, kept):
-        """Store the folded fields; a zero scalar stores the zero."""
-        if scalar.is_zero():
-            self.scalar = ZERO
-            self.monomial = (0,) * self.n
-            self.factors = ()
-        else:
-            self.scalar = scalar
-            self.monomial = tuple(mono)
-            self.factors = tuple(kept)
+        out = self._with(scalar, mono, kept)
+        self.scalar, self.monomial, self.factors = out.scalar, out.monomial, out.factors
 
     def is_zero(self) -> bool:
         return self.scalar.is_zero()
@@ -762,60 +755,83 @@ class FactoredRational:
                 added.append(f)
             else:
                 scalar = scalar * merged
+        return self._with(scalar, vec_add(self.monomial, other.monomial),
+                          mine + added)
+
+    def _with(self, scalar, mono, kept) -> "FactoredRational":
+        """A value over ``self``'s variables with fields that are already
+        folded and merged, which the constructor would only redo; a zero
+        scalar gives the zero."""
         out = FactoredRational.__new__(FactoredRational)
         out.n = self.n
-        out._set(scalar, vec_add(self.monomial, other.monomial), mine + added)
+        if scalar.is_zero():
+            scalar, mono, kept = ZERO, (0,) * self.n, ()
+        out.scalar, out.monomial, out.factors = scalar, tuple(mono), tuple(kept)
         return out
 
     def inv(self) -> "FactoredRational":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return FactoredRational(
-            self.n, self.scalar.inv(),
-            tuple(-e for e in self.monomial),
-            tuple((u, i, v, j, -m) for u, i, v, j, m in self.factors))
+        return self._with(self.scalar.inv(), tuple(-e for e in self.monomial),
+                          [(u, i, v, j, -m) for u, i, v, j, m in self.factors])
 
     def scale(self, c) -> "FactoredRational":
-        return FactoredRational(self.n, self.scalar * qnum(c),
-                                self.monomial, self.factors)
+        return self._with(self.scalar * qnum(c), self.monomial, self.factors)
 
     def numerator_part(self) -> "FactoredRational":
         """Positive-exponent content: scalar, nonnegative monomial, m > 0."""
-        mono = tuple(max(e, 0) for e in self.monomial)
-        return FactoredRational(
-            self.n, self.scalar, mono,
-            tuple(f for f in self.factors if f[4] > 0))
+        return self._with(self.scalar, tuple(max(e, 0) for e in self.monomial),
+                          [f for f in self.factors if f[4] > 0])
 
     def denominator_part(self) -> "FactoredRational":
         """The exact polynomial the value must be multiplied by to clear it."""
-        mono = tuple(-min(e, 0) for e in self.monomial)
-        return FactoredRational(
-            self.n, ONE, mono,
-            tuple((u, i, v, j, -m) for u, i, v, j, m in self.factors if m < 0))
+        return self._with(ONE, tuple(-min(e, 0) for e in self.monomial),
+                          [(u, i, v, j, -m) for u, i, v, j, m in self.factors
+                           if m < 0])
 
     # -- expansion and evaluation -----------------------------------------
 
     def _factor_series(self, u, i, v, j, m, depth) -> ExpansionSeries:
-        n = self.n
-        if m > 0:
-            terms = {}
-            for t in range(m + 1):
-                a = vec_add(unit_vec(n, i, m - t), unit_vec(n, j, t))
-                terms[a] = u ** (m - t) * v ** t * comb(m, t)
-            return ExpansionSeries(n, terms, INF)
-        mm = -m
-        ratio = v / u
-        tmax = depth // (j - i)
-        base = unit_vec(n, i, m)
-        step = vec_add(unit_vec(n, j, 1), unit_vec(n, i, -1))
-        terms = {}
-        acc = u ** m
-        a = base
-        for t in range(tmax + 1):
-            terms[a] = acc * (comb(mm - 1 + t, t) * (-1) ** t)
-            acc = acc * ratio
-            a = vec_add(a, step)
-        return ExpansionSeries(n, terms, ratio_degree(base) + depth)
+        """(u*z_i + v*z_j)^m, exact for m > 0 and valid to d(m*e_i) + depth
+        for m < 0, as one packed chain (README, "Packed series"): term t is
+        C_t u^m r^t z^(m*e_i + t*(e_j - e_i)), r = v/u, C_t = C(m, t) for
+        t <= m > 0, or (-1)^t C(|m|-1+t, t) for t <= tmax = depth // (j-i).
+        Its numerator is C_t U R^t R_d^(tmax-t) over D = U_d R_d^tmax, with
+        u^m = U/U_d and r = R/R_d in integers: a u = +-q^k forms no
+        ``QRat``, and an integral v keeps D = 1.  L1 and M are bounded by
+        L1(U) and M(U) times the sum and the largest of |C_t| L1(R)^t
+        L1(R_d)^(tmax-t), exactly when R and R_d are monomials."""
+        k, sign = u.as_monomial() or (0, 0)
+        if sign in (1, -1):
+            parts = ((QPoly(k * m, (sign ** abs(m),)), _POLY_ONE),
+                     (v.num.times_term(-k, sign), v.den))
+        else:
+            parts = [(x.num, x.den) for x in (u ** m, v / u)]
+        (un, ud), (rn, rd) = [_integral(*p) for p in parts]
+        tmax = m if m > 0 else depth // (j - i)
+        binoms = [comb(m, t) if m > 0 else (-1) ** t * comb(t - m - 1, t)
+                  for t in range(tmax + 1)]
+        lr, ld = sum(map(abs, rn.coeffs)), sum(map(abs, rd.coeffs))
+        sizes = [abs(c) * lr ** t * ld ** (tmax - t) for t, c in enumerate(binoms)]
+        l1 = sum(map(abs, un.coeffs)) * sum(sizes)
+        mb = max(map(abs, un.coeffs)) * max(sizes)
+        e = max(abs(m), abs(m - tmax))
+        w, s = _width(_KEY_WIDTH, e), _width(_SLOT_WIDTH, mb)
+        layout = _key_layout(self.n, w)
+        base = unit_vec(self.n, i, m)
+        key, step = _pack_key(base, layout), layout[0][j - 1] - layout[0][i - 1]
+        # R packs at base -lag <= 0, which leaves R^t t*lag slots high
+        lag = -min(rn.off, 0)
+        b = un.off - tmax * lag
+        x, ratio = _pack_coeff(un, s, b), _pack_coeff(rn, s, -lag)
+        packed_rd = _pack_coeff(rd, s, 0)
+        coeffs = {}
+        for t, c in enumerate(binoms):
+            coeffs[key + t * step] = c * (x >> s * t * lag) * packed_rd ** (tmax - t)
+            x *= ratio
+        d = ud if rd.is_one() else reduce(operator.mul, [rd] * tmax, ud)
+        return _make(self.n, INF if m > 0 else ratio_degree(base) + depth, coeffs,
+                     w, e, s, b, d, l1, mb, len(rn.coeffs) == len(rd.coeffs) == 1)
 
     def expand(self, depth: int) -> ExpansionSeries:
         """Laurent expansion in |z_1| >> ... >> |z_n|.

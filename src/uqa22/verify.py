@@ -127,6 +127,8 @@ def _suite_goldens(depth=8, window=6) -> SuiteReport:
 
 
 def _suite_oracle(n=4, depth=4) -> SuiteReport:
+    if n < 2:
+        raise ValueError("the oracle suite runs sizes 2..n, so --n must be at least 2")
     rep = SuiteReport("oracle")
     for m in range(2, n + 1):
         closed = weight_plus_closed(m, depth)
@@ -189,6 +191,8 @@ _INTERP_MAX_N = 6
 def _suite_interp(seed, n=5) -> SuiteReport:
     """The interpolation identities at sizes 2..n, n <= 6; the
     block-matrix identity runs at sizes 2..min(n, 5) only."""
+    if n < 2:
+        raise ValueError("the interp suite runs sizes 2..n, so --n must be at least 2")
     if n > _INTERP_MAX_N:
         raise ValueError(f"the interp suite is capped at n = {_INTERP_MAX_N}")
     trials = 20

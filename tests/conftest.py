@@ -1,15 +1,17 @@
 """Shared helpers: random exact scalars, reference degree and leading-term
-readers of a factored rational, and an independent expansion oracle."""
+readers of a factored rational, the term-by-term factor series, and an
+independent expansion oracle."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from uqa22.qfield import QRat, qnum, qpow
-from uqa22.series import ExpansionSeries
+from uqa22.series import INF, ExpansionSeries, ratio_degree, unit_vec
 
 
 def rational_stream(seed: int):
@@ -53,31 +55,45 @@ def leading(fr):
     return coeff, tuple(mono)
 
 
+def factor_terms(n: int, u, i: int, v, j: int, m: int, tmax: int) -> dict:
+    """{exponent vector: QRat} of the terms t = 0..tmax of
+    (u*z_i + v*z_j)^m in |z_i| >> |z_j|, built one ``QRat`` product per
+    term: u^(m-t) v^t C(m, t) for m > 0 (where tmax must be m), and
+    u^m (v/u)^t C(|m|-1+t, t) (-1)^t for m < 0."""
+    terms = {}
+    ratio, acc = v / u, u ** m
+    for t in range(tmax + 1):
+        vec = [0] * n
+        vec[i - 1] += m - t
+        vec[j - 1] += t
+        if m > 0:
+            terms[tuple(vec)] = u ** (m - t) * v ** t * comb(m, t)
+        else:
+            terms[tuple(vec)] = acc * (comb(-m - 1 + t, t) * (-1) ** t)
+            acc = acc * ratio
+    return terms
+
+
+def reference_factor_series(n: int, u, i: int, v, j: int, m: int,
+                            depth: int) -> ExpansionSeries:
+    """Reference ``FactoredRational._factor_series``: the terms of
+    ``factor_terms`` (tmax = depth // (j-i) for m < 0) through the
+    ``ExpansionSeries`` constructor, exact for m > 0 and valid to
+    d(m*e_i) + depth for m < 0."""
+    if m > 0:
+        return ExpansionSeries(n, factor_terms(n, u, i, v, j, m, m), INF)
+    return ExpansionSeries(n, factor_terms(n, u, i, v, j, m, depth // (j - i)),
+                           ratio_degree(unit_vec(n, i, m)) + depth)
+
+
 def brute_expand(fr, rel_depth: int):
     """Naive expansion oracle: explicit geometric series and plain dict
     convolution, with no validity bookkeeping.  Correct for every
     exponent vector whose ratio degree sits at most rel_depth above the
     leading monomial."""
-    n = fr.n
     terms = {tuple(fr.monomial): fr.scalar}
     for u, i, v, j, m in fr.factors:
-        fac = {}
-        if m > 0:
-            from math import comb
-            for t in range(m + 1):
-                vec = [0] * n
-                vec[i - 1] += m - t
-                vec[j - 1] += t
-                fac[tuple(vec)] = u ** (m - t) * v ** t * comb(m, t)
-        else:
-            from math import comb
-            mm = -m
-            for t in range(rel_depth + 1):
-                vec = [0] * n
-                vec[i - 1] = m - t
-                vec[j - 1] = t
-                fac[tuple(vec)] = (u ** m * (v / u) ** t
-                                   * comb(mm - 1 + t, t) * (-1) ** t)
+        fac = factor_terms(fr.n, u, i, v, j, m, m if m > 0 else rel_depth)
         merged = {}
         for a, ca in terms.items():
             for b, cb in fac.items():

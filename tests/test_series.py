@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_expand, leading, random_monomial, rational_stream,
-                      substitute_scale, total_degree)
+                      reference_factor_series, substitute_scale, total_degree)
 from uqa22.blocks import ArgList, build_block, build_kernel
 from uqa22.ncalg import NCExpr, mode
 from uqa22 import series as series_module
@@ -508,6 +508,70 @@ def test_expand_equals_the_pairwise_chain_at_the_edges(scalar, factors):
         _assert_same_series(fr.expand(depth), _pairwise_expand(fr, depth))
 
 
+# -- factor series against the term-by-term reference -----------------------
+
+# +-q^k with an integral v keeps a factor series over D = 1; 2q^k, 1+q, q-1
+# and Fraction coefficients put it over a denominator
+_factor_coeffs = st.one_of(
+    st.builds(qpow, st.integers(min_value=-3, max_value=3),
+              st.sampled_from([1, -1, 2, -2])),
+    st.sampled_from([qnum(1) + q, q - qnum(1), qnum(Fraction(2, 3)),
+                     qpow(-1, Fraction(-1, 2)), (q - qnum(1)) / qnum(3)]))
+
+
+def _assert_factor_series(u, i, v, j, m, depth, n=5):
+    got = FactoredRational(n)._factor_series(u, i, v, j, m, depth)
+    want = reference_factor_series(n, u, i, v, j, m, depth)
+    assert got.terms == want.terms and got.validity == want.validity
+    unit = u.as_monomial() is not None and u.as_monomial()[1] in (1, -1)
+    if unit and v.den.is_one() and all(type(c) is int for c in v.num.coeffs):
+        assert got._d.is_one()
+    # the carried bounds hold the L1 and M read from the slots
+    slots = [abs(c) for value in got._c.values()
+             for c in series_module._slots(value, got._s)[1]]
+    assert got._l1 >= sum(slots) and got._m >= max(slots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_factor_series_equals_the_term_by_term_reference(data):
+    i, j = sorted(data.draw(st.lists(st.integers(min_value=1, max_value=5),
+                                     min_size=2, max_size=2, unique=True)))
+    _assert_factor_series(
+        data.draw(_factor_coeffs, label="u"), i,
+        data.draw(_factor_coeffs, label="v"), j,
+        data.draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), label="m"),
+        data.draw(st.integers(min_value=0, max_value=12), label="depth"))
+
+
+@pytest.mark.parametrize("u, i, v, j, m, depth", [
+    (qpow(2), 1, qnum(-1), 5, -2, 3),         # j - i > depth: one term
+    (qpow(1, -1), 2, qpow(-3), 4, -4, 16),    # r = -q^-4: 9 terms, 4t slots down
+    (qnum(1) + q, 1, q - qnum(1), 2, -3, 16),  # 17 terms over (1+q)^19
+    (qpow(1, 2), 1, qpow(-2, Fraction(1, 3)), 3, 4, 0),
+], ids=["past-the-depth", "negative-r-offset", "polynomial-ratio",
+        "positive-power"])
+def test_factor_series_edges(u, i, v, j, m, depth):
+    _assert_factor_series(u, i, v, j, m, depth)
+
+
+def test_merge_tests_proportionality_by_cross_products():
+    one_q = qnum(1) + q
+    # (1+q) z1 + (q+q^2) z2 is (1+q) (z1 + q z2)
+    f = FactoredRational(2, 1, None, [(qnum(1), 1, q, 2, -1),
+                                      (one_q, 1, q + q * q, 2, 2)])
+    assert f.factors == ((qnum(1), 1, q, 2, 1),) and f.scalar == one_q ** 2
+    g = FactoredRational(2, 1, None, [(qnum(1), 1, q, 2, -1),
+                                      (qnum(1), 1, q * q, 2, 1)])
+    assert len(g.factors) == 2 and g.scalar == qnum(1)
+    # the denominators enter the cross products: z1/(1+q) + q z2 stays apart
+    # from z1 + q z2, and z1/(1+q) + q/(1+q) z2 cancels it
+    inv = qnum(1) / one_q
+    h = FactoredRational(2, 1, None, [(qnum(1), 1, q, 2, -1), (inv, 1, q, 2, 1),
+                                      (inv, 1, q * inv, 2, 1)])
+    assert h.factors == ((inv, 1, q, 2, 1),) and h.scalar == inv
+
+
 def _reference_eval_exact(fr, q0, zvals):
     """FactoredRational.eval_exact written one Fraction operation per
     factor, with the zero base tracked by a flag."""
@@ -623,6 +687,35 @@ def test_product_merges_like_the_constructor(data):
     assert (got.scalar, got.monomial, got.factors) \
         == (want.scalar, want.monomial, want.factors)
     assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_derived_values_have_the_constructors_fields(data):
+    n = 3
+    factors = data.draw(st.lists(st.tuples(
+        _units, st.sampled_from([(1, 2), (1, 3), (2, 3), (3, 1)]), _units,
+        st.sampled_from([-2, -1, 1, 2])), max_size=4))
+    x = FactoredRational(
+        n, data.draw(_units),
+        data.draw(st.tuples(*[st.integers(min_value=-2, max_value=2)] * n)),
+        [(u, i, v, j, m) for u, (i, j), v, m in factors])
+    c = data.draw(st.one_of(_units, st.just(qnum(0))))
+    flip = [(u, i, v, j, -m) for u, i, v, j, m in x.factors]
+    cases = [
+        (x.scale(c), FactoredRational(n, x.scalar * c, x.monomial, x.factors)),
+        (x.inv(), FactoredRational(n, x.scalar.inv(),
+                                   [-e for e in x.monomial], flip)),
+        (x.numerator_part(), FactoredRational(
+            n, x.scalar, [max(e, 0) for e in x.monomial],
+            [f for f in x.factors if f[4] > 0])),
+        (x.denominator_part(), FactoredRational(
+            n, 1, [-min(e, 0) for e in x.monomial],
+            [f for f in flip if f[4] > 0])),
+    ]
+    for got, want in cases:
+        assert (got.n, got.scalar, got.monomial, got.factors) \
+            == (want.n, want.scalar, want.monomial, want.factors)
 
 
 # -- the packed storage against plain {exponent: QRat} dicts -----------------

@@ -12,7 +12,7 @@ from uqa22.ncalg import NCExpr, word_str
 from uqa22.projection import MINUS, PLUS, WeightExpr, weight_plus_closed
 from uqa22.qfield import qpow
 from uqa22.series import ExpansionSeries, ratio_degree
-from uqa22.verify import SUITE_NAMES, brute_admissible, run_suite
+from uqa22.verify import SUITE_NAMES, SuiteReport, brute_admissible, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -186,7 +186,10 @@ def test_reports_are_deterministic_and_serializable():
 
 @pytest.mark.parametrize("suite", ["oracle", "interp"])
 def test_a_run_with_no_case_does_not_pass(suite):
-    rep = run_suite(suite, n=1)
+    # n = 1 would run no case, so the suite refuses it before it runs
+    with pytest.raises(ValueError, match="--n must be at least 2"):
+        run_suite(suite, n=1)
+    rep = SuiteReport(suite)
     assert rep.cases == 0 and not rep.failures
     assert not rep.passed
 
