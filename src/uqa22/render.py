@@ -74,8 +74,7 @@ def latex_ratio(fr: FactoredRational) -> str:
     for u, i, v, j, m in fr.factors:
         # pull z_i^m out of the binomial so the atom is a pure ratio
         mono[i - 1] += m
-        lead = u.as_monomial()
-        if lead is not None and lead[1] < 0:
+        if u.as_monomial()[1] < 0:
             u, v = -u, -v
             scalar = scalar * qnum(-1) ** m
         atom = _latex_atom(u, i, v, j)

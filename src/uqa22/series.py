@@ -128,19 +128,15 @@ def _over_one_denominator(values):
         cofactor = {den: QRat(d, den).num for den in dens} if rest \
             else {d: _POLY_ONE}
         nums = [c.num * cofactor.get(c.den, d) for c in values]
-    d, *nums = _integral(d, *nums)
     l1 = sum([sum(map(abs, p.coeffs)) for p in nums])
+    if type(l1) is not int or type(sum(d.coeffs)) is not int:
+        # a Fraction coefficient makes its sum a Fraction
+        k = math.lcm(*{x.denominator for p in (d, *nums) for x in p.coeffs
+                       if type(x) is not int})
+        d, nums = d.scale(k), [p.scale(k) for p in nums]
+        l1 = sum([sum(map(abs, p.coeffs)) for p in nums])
     return d, nums, (min([p.off for p in nums], default=0), l1,
                      max([max(map(abs, p.coeffs)) for p in nums], default=0))
-
-
-def _integral(*polys):
-    """``polys`` times the least positive integer that makes every
-    coefficient of them an int; the same objects when that is 1."""
-    if type(sum(chain.from_iterable([p.coeffs for p in polys]))) is int:
-        return polys    # a Fraction coefficient makes the sum a Fraction
-    k = math.lcm(*{x.denominator for p in polys for x in p.coeffs if type(x) is not int})
-    return [p.scale(k) for p in polys]
 
 
 def _encode(coeffs, lo: int, s: int) -> int:
@@ -678,11 +674,11 @@ def _merge(kept: list, u, i, v, j, m):
     """Merge the binomial (u*z_i + v*z_j)^m into the first proportional
     binomial of ``kept``, in place, so that inverse pairs cancel exactly
     instead of meeting again at a pole: the scalar (u/u0)^m that the merge
-    leaves over, or None when no binomial of ``kept`` is proportional;
-    u0 v = v0 u is tested on cross products of numerators and denominators."""
+    leaves over, or None when no binomial of ``kept`` is proportional.
+    Every coefficient is a monomial c*q^k (``FactoredRational``), over 1,
+    so u0 v = v0 u is tested on the products of the numerators."""
     for pos, (u0, i0, v0, j0, m0) in enumerate(kept):
-        if i0 == i and j0 == j and u0.num * v.num * (v0.den * u.den) \
-                == v0.num * u.num * (u0.den * v.den):
+        if i0 == i and j0 == j and u0.num * v.num == v0.num * u.num:
             if m0 + m == 0:
                 kept.pop(pos)
             else:
@@ -699,6 +695,10 @@ class FactoredRational:
     Degenerate factors (equal indices, or a vanishing u or v) are folded
     into the scalar and monomial at construction, so every stored factor
     has both coefficients nonzero and is expandable in the nested domain.
+    Every stored u and v is a monomial c*q^k with c a nonzero rational,
+    as in every binomial z_i - c z_j of the weight function's blocks: the
+    constructor refuses any other, and the derived values reuse factors
+    it has checked.
     """
 
     __slots__ = ("n", "scalar", "monomial", "factors")
@@ -725,6 +725,9 @@ class FactoredRational:
                 scalar = scalar * c ** m
                 mono[(j if u.is_zero() else i) - 1] += m
                 continue
+            if u.as_monomial() is None or v.as_monomial() is None:
+                raise ValueError(f"binomial coefficients must be monomials "
+                                 f"c*q^k: ({u})*z_{i} + ({v})*z_{j}")
             if i > j:
                 u, i, v, j = v, j, u, i
             merged = _merge(kept, u, i, v, j, m)
@@ -793,45 +796,33 @@ class FactoredRational:
 
     def _factor_series(self, u, i, v, j, m, depth) -> ExpansionSeries:
         """(u*z_i + v*z_j)^m, exact for m > 0 and valid to d(m*e_i) + depth
-        for m < 0, as one packed chain (README, "Packed series"): term t is
-        C_t u^m r^t z^(m*e_i + t*(e_j - e_i)), r = v/u, C_t = C(m, t) for
+        for m < 0 (README, "Factor series"): term t is
+        C_t u^m (v/u)^t z^(m*e_i + t*(e_j - e_i)), C_t = C(m, t) for
         t <= m > 0, or (-1)^t C(|m|-1+t, t) for t <= tmax = depth // (j-i).
-        Its numerator is C_t U R^t R_d^(tmax-t) over D = U_d R_d^tmax, with
-        u^m = U/U_d and r = R/R_d in integers: a u = +-q^k forms no
-        ``QRat``, and an integral v keeps D = 1.  L1 and M are bounded by
-        L1(U) and M(U) times the sum and the largest of |C_t| L1(R)^t
-        L1(R_d)^(tmax-t), exactly when R and R_d are monomials."""
-        k, sign = u.as_monomial() or (0, 0)
-        if sign in (1, -1):
-            parts = ((QPoly(k * m, (sign ** abs(m),)), _POLY_ONE),
-                     (v.num.times_term(-k, sign), v.den))
-        else:
-            parts = [(x.num, x.den) for x in (u ** m, v / u)]
-        (un, ud), (rn, rd) = [_integral(*p) for p in parts]
+        With u = a q^k, v = b q^l, a^m = un/ud and b/a = rn/rd in integers,
+        term t is one slot: C_t un rn^t rd^(tmax-t) at q^(k*m + (l-k)*t),
+        over D = ud rd^tmax.  So L1 and M are exact, and D = 1 for a = +-1
+        and an integral b."""
+        (k, a), (l, b) = u.as_monomial(), v.as_monomial()
+        am, r = Fraction(a) ** m, Fraction(b) / a
+        un, ud, rn, rd = am.numerator, am.denominator, r.numerator, r.denominator
         tmax = m if m > 0 else depth // (j - i)
-        binoms = [comb(m, t) if m > 0 else (-1) ** t * comb(t - m - 1, t)
-                  for t in range(tmax + 1)]
-        lr, ld = sum(map(abs, rn.coeffs)), sum(map(abs, rd.coeffs))
-        sizes = [abs(c) * lr ** t * ld ** (tmax - t) for t, c in enumerate(binoms)]
-        l1 = sum(map(abs, un.coeffs)) * sum(sizes)
-        mb = max(map(abs, un.coeffs)) * max(sizes)
+        tops = [(comb(m, t) if m > 0 else (-1) ** t * comb(t - m - 1, t))
+                * un * rn ** t * rd ** (tmax - t) for t in range(tmax + 1)]
+        sizes = list(map(abs, tops))
         e = max(abs(m), abs(m - tmax))
-        w, s = _width(_KEY_WIDTH, e), _width(_SLOT_WIDTH, mb)
+        w, s = _width(_KEY_WIDTH, e), _width(_SLOT_WIDTH, max(sizes))
         layout = _key_layout(self.n, w)
         base = unit_vec(self.n, i, m)
         key, step = _pack_key(base, layout), layout[0][j - 1] - layout[0][i - 1]
-        # R packs at base -lag <= 0, which leaves R^t t*lag slots high
-        lag = -min(rn.off, 0)
-        b = un.off - tmax * lag
-        x, ratio = _pack_coeff(un, s, b), _pack_coeff(rn, s, -lag)
-        packed_rd = _pack_coeff(rd, s, 0)
-        coeffs = {}
-        for t, c in enumerate(binoms):
-            coeffs[key + t * step] = c * (x >> s * t * lag) * packed_rd ** (tmax - t)
-            x *= ratio
-        d = ud if rd.is_one() else reduce(operator.mul, [rd] * tmax, ud)
+        # the q-exponent of term t is k*m + (l-k)*t; the least one is the base
+        lo = k * m + min(0, (l - k) * tmax)
+        coeffs = {key + t * step: c << s * (k * m + (l - k) * t - lo)
+                  for t, c in enumerate(tops)}
+        d = ud * rd ** tmax
         return _make(self.n, INF if m > 0 else ratio_degree(base) + depth, coeffs,
-                     w, e, s, b, d, l1, mb, len(rn.coeffs) == len(rd.coeffs) == 1)
+                     w, e, s, lo, _POLY_ONE if d == 1 else QPoly(0, (d,)),
+                     sum(sizes), max(sizes), True)
 
     def expand(self, depth: int) -> ExpansionSeries:
         """Laurent expansion in |z_1| >> ... >> |z_n|.

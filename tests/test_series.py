@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (brute_expand, leading, random_monomial, rational_stream,
                       reference_factor_series, substitute_scale, total_degree)
 from uqa22.blocks import ArgList, build_block, build_kernel
+from uqa22.goldens import display_to_factored
 from uqa22.ncalg import NCExpr, mode
 from uqa22 import series as series_module
 from uqa22.qfield import QPoly, QRat, qnum, qpow
@@ -458,19 +459,17 @@ def _pairwise_expand(fr, depth):
     return out
 
 
-# +-q^k keeps every factor series on the integer ring; a 2 or a -3, a 1+q
-# or a q-1 in an inverse factor, or a Fraction puts the chain on the QRat
-# ring
-_binomial_coeffs = st.one_of(
-    st.builds(qpow, st.integers(min_value=-3, max_value=3),
-              st.sampled_from([1, -1, 2, -3])),
-    st.sampled_from([qnum(1) + q, q - qnum(1), qnum(Fraction(2, 3)),
-                     qpow(1, Fraction(-1, 2))]))
-# a scalar with a denominator puts the chain on the QRat ring; a zero
-# scalar makes the expansion empty
-_chain_scalars = st.one_of(_binomial_coeffs, st.sampled_from([
-    qnum(0), qnum(Fraction(5, 7)), qnum(1) / (qnum(1) + q),
-    qpow(-2, 3) / (q - qnum(1))]))
+# binomial coefficients are rational monomials c*q^k: a +-q^k keeps every
+# factor series over D = 1, and a 2, a -3 or a Fraction puts it over an
+# integer D
+_chain_coeffs = st.builds(qpow, st.integers(min_value=-3, max_value=3),
+                          st.sampled_from([1, -1, 2, -3, Fraction(2, 3),
+                                           Fraction(-1, 2)]))
+# scalars stay general: a 1+q, a q-1 or a denominator puts the chain on
+# the QRat ring, and a zero scalar makes the expansion empty
+_chain_scalars = st.one_of(_chain_coeffs, st.sampled_from([
+    qnum(1) + q, q - qnum(1), qnum(0), qnum(Fraction(5, 7)),
+    qnum(1) / (qnum(1) + q), qpow(-2, 3) / (q - qnum(1))]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -480,7 +479,7 @@ def test_expand_equals_the_pairwise_chain(data):
     depth = data.draw(st.integers(min_value=0, max_value=8), label="depth")
     index = st.integers(min_value=1, max_value=n)
     factors = data.draw(st.lists(st.tuples(
-        _binomial_coeffs, index, _binomial_coeffs, index,
+        _chain_coeffs, index, _chain_coeffs, index,
         st.sampled_from([-3, -2, -1, 1, 2, 3])).filter(lambda f: f[1] != f[3]),
         max_size=5), label="factors")
     if factors and data.draw(st.booleans(), label="cancel"):
@@ -510,26 +509,24 @@ def test_expand_equals_the_pairwise_chain_at_the_edges(scalar, factors):
 
 # -- factor series against the term-by-term reference -----------------------
 
-# +-q^k with an integral v keeps a factor series over D = 1; 2q^k, 1+q, q-1
-# and Fraction coefficients put it over a denominator
+# +-q^k with an integral v keeps a factor series over D = 1; 2q^k, 2/3 and
+# -q^-1/2 put it over an integer D
 _factor_coeffs = st.one_of(
     st.builds(qpow, st.integers(min_value=-3, max_value=3),
               st.sampled_from([1, -1, 2, -2])),
-    st.sampled_from([qnum(1) + q, q - qnum(1), qnum(Fraction(2, 3)),
-                     qpow(-1, Fraction(-1, 2)), (q - qnum(1)) / qnum(3)]))
+    st.sampled_from([qnum(Fraction(2, 3)), qpow(-1, Fraction(-1, 2))]))
 
 
 def _assert_factor_series(u, i, v, j, m, depth, n=5):
     got = FactoredRational(n)._factor_series(u, i, v, j, m, depth)
     want = reference_factor_series(n, u, i, v, j, m, depth)
     assert got.terms == want.terms and got.validity == want.validity
-    unit = u.as_monomial() is not None and u.as_monomial()[1] in (1, -1)
-    if unit and v.den.is_one() and all(type(c) is int for c in v.num.coeffs):
+    if u.as_monomial()[1] in (1, -1) and type(v.as_monomial()[1]) is int:
         assert got._d.is_one()
-    # the carried bounds hold the L1 and M read from the slots
+    # the carried bounds are the L1 and M read from the slots
     slots = [abs(c) for value in got._c.values()
              for c in series_module._slots(value, got._s)[1]]
-    assert got._l1 >= sum(slots) and got._m >= max(slots)
+    assert got._exact and (got._l1, got._m) == (sum(slots), max(slots))
 
 
 @settings(max_examples=300, deadline=None)
@@ -547,29 +544,51 @@ def test_factor_series_equals_the_term_by_term_reference(data):
 @pytest.mark.parametrize("u, i, v, j, m, depth", [
     (qpow(2), 1, qnum(-1), 5, -2, 3),         # j - i > depth: one term
     (qpow(1, -1), 2, qpow(-3), 4, -4, 16),    # r = -q^-4: 9 terms, 4t slots down
-    (qnum(1) + q, 1, q - qnum(1), 2, -3, 16),  # 17 terms over (1+q)^19
+    (qnum(2), 1, qpow(1, 3), 2, -3, 16),      # 17 terms over 2^3 * 2^16
     (qpow(1, 2), 1, qpow(-2, Fraction(1, 3)), 3, 4, 0),
-], ids=["past-the-depth", "negative-r-offset", "polynomial-ratio",
+], ids=["past-the-depth", "negative-r-offset", "integer-denominator",
         "positive-power"])
 def test_factor_series_edges(u, i, v, j, m, depth):
     _assert_factor_series(u, i, v, j, m, depth)
 
 
 def test_merge_tests_proportionality_by_cross_products():
-    one_q = qnum(1) + q
-    # (1+q) z1 + (q+q^2) z2 is (1+q) (z1 + q z2)
-    f = FactoredRational(2, 1, None, [(qnum(1), 1, q, 2, -1),
-                                      (one_q, 1, q + q * q, 2, 2)])
-    assert f.factors == ((qnum(1), 1, q, 2, 1),) and f.scalar == one_q ** 2
+    # 2 z1 + 2q z2 is 2 (z1 + q z2): it merges, and leaves 2^m in the scalar
+    for m in (1, 2, -3):
+        f = FactoredRational(2, 1, None, [(qnum(1), 1, q, 2, -1),
+                                          (qnum(2), 1, qpow(1, 2), 2, m)])
+        want = () if m == 1 else ((qnum(1), 1, q, 2, m - 1),)
+        assert f.factors == want and f.scalar == qnum(2) ** m
+    # z1 + q^2 z2 and z1 + 2q z2 stay apart from z1 + q z2
     g = FactoredRational(2, 1, None, [(qnum(1), 1, q, 2, -1),
-                                      (qnum(1), 1, q * q, 2, 1)])
-    assert len(g.factors) == 2 and g.scalar == qnum(1)
-    # the denominators enter the cross products: z1/(1+q) + q z2 stays apart
-    # from z1 + q z2, and z1/(1+q) + q/(1+q) z2 cancels it
-    inv = qnum(1) / one_q
-    h = FactoredRational(2, 1, None, [(qnum(1), 1, q, 2, -1), (inv, 1, q, 2, 1),
-                                      (inv, 1, q * inv, 2, 1)])
-    assert h.factors == ((inv, 1, q, 2, 1),) and h.scalar == inv
+                                      (qnum(1), 1, q * q, 2, 1),
+                                      (qnum(1), 1, qpow(1, 2), 2, 1)])
+    assert len(g.factors) == 3 and g.scalar == qnum(1)
+    # a Fraction enters the cross products: z1/2 + q z2 stays apart from
+    # z1 + q z2, and z1/2 + q/2 z2 cancels it
+    half = qnum(Fraction(1, 2))
+    h = FactoredRational(2, 1, None, [(qnum(1), 1, q, 2, -1),
+                                      (half, 1, q, 2, 1),
+                                      (half, 1, q * half, 2, 1)])
+    assert h.factors == ((half, 1, q, 2, 1),) and h.scalar == half
+
+
+def test_a_binomial_coefficient_must_be_a_monomial():
+    refused = r"monomials c\*q\^k: \("
+    for c in (qnum(1) + q, q - qnum(1), qnum(1) / (qnum(1) + q)):
+        for factor in ((c, 1, q, 2, -1), (qpow(2), 1, c, 3, 2)):
+            with pytest.raises(ValueError, match=refused):
+                FactoredRational(3, 1, None, [factor])
+    # a transcribed display atom reaches the same check
+    for a in (qnum(1) + q, q - qnum(1)):
+        display = {"scalar_num": [[0, "1"]],
+                   "atoms": [{"a": a.num.to_json(), "b": [[0, "1"]],
+                              "top": 1, "bot": 2, "m": -1}]}
+        with pytest.raises(ValueError, match=refused):
+            display_to_factored(2, display)
+    # an equal-index binomial folds before the check: z1 + q z1 = (1+q) z1
+    f = FactoredRational(2, 1, None, [(qnum(1), 1, q, 1, 2)])
+    assert (f.scalar, f.monomial, f.factors) == ((qnum(1) + q) ** 2, (2, 0), ())
 
 
 def _reference_eval_exact(fr, q0, zvals):
@@ -603,8 +622,8 @@ def _outcome(fn, *args):
 # small pools, so that a binomial vanishes at the point often
 _point_values = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2),
                                  Fraction(-3, 2), Fraction(2, 3)])
-_binomial_coeffs = st.builds(qpow, st.integers(min_value=-1, max_value=1),
-                             st.sampled_from([1, -1, 2, Fraction(-1, 2)]))
+_eval_coeffs = st.builds(qpow, st.integers(min_value=-1, max_value=1),
+                         st.sampled_from([1, -1, 2, Fraction(-1, 2)]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -615,11 +634,11 @@ def test_eval_exact_equals_the_fraction_by_fraction_reference(data):
                       st.integers(min_value=1, max_value=n)) \
         .filter(lambda ij: ij[0] < ij[1])
     factors = data.draw(st.lists(
-        st.tuples(_binomial_coeffs, pairs, _binomial_coeffs,
+        st.tuples(_eval_coeffs, pairs, _eval_coeffs,
                   st.sampled_from([1, 2, 3, -1, -2])),
         max_size=4))
     fr = FactoredRational(
-        n, data.draw(st.one_of(_coeffs, _binomial_coeffs)),
+        n, data.draw(st.one_of(_coeffs, _eval_coeffs)),
         data.draw(st.tuples(*[st.integers(min_value=-3, max_value=3)] * n)),
         [(u, i, v, j, m) for u, (i, j), v, m in factors])
     q0 = data.draw(_point_values)
