@@ -309,7 +309,7 @@ def weight_structure(n: int, orientation: str):
             for pair in admissible_pairs(n, r, orientation)]
 
 
-def _weighted_sum(n: int, terms, orientation: str) -> NCExpr:
+def _weighted_sum(n: int, terms, orientation: str, prune=None) -> NCExpr:
     """The sum of c * A_1 * ... * A_k over the terms (c, [A_1, ..., A_k]).
 
     The sum is grouped by Horner's rule over a trie of the factor
@@ -319,7 +319,9 @@ def _weighted_sum(n: int, terms, orientation: str) -> NCExpr:
     product, and each c enters at its leaf, where it multiplies a single
     factor.  Edges are keyed by identity: every caller passes one object
     per distinct factor.  Each A has words of one length, which keeps the
-    per-word validity of the edge products sound.
+    per-word validity of the edge products sound.  A ``prune`` step, if
+    given, replaces each node's value by prune(value, path), the path being
+    the factors from the root to the node: those still to be multiplied in.
     """
     plus = orientation == PLUS
     root = ({}, [])  # id(A) -> (A, child), and the c's that end here
@@ -329,13 +331,14 @@ def _weighted_sum(n: int, terms, orientation: str) -> NCExpr:
             node = node[0].setdefault(id(a), (a, ({}, [])))[1]
         node[1].append(NCExpr(n, {(): c}))
 
-    def value(node) -> NCExpr:
+    def value(node, path) -> NCExpr:
         total = sum(node[1], NCExpr.zero(n))
         for a, child in node[0].values():
-            total = total + (a * value(child) if plus else value(child) * a)
-        return total
+            below = value(child, path + (a,))
+            total = total + (a * below if plus else below * a)
+        return total if prune is None else prune(total, path)
 
-    return value(root)
+    return value(root, ())
 
 
 def _weight_closed(n: int, depth: int, orientation: str) -> WeightExpr:
@@ -520,22 +523,38 @@ def symbol_modes(sym, n: int, window: int) -> NCExpr:
         for word, by_exp in acc.items()})
 
 
-def mode_expand(w: WeightExpr, window: int) -> NCExpr:
+def mode_expand(w: WeightExpr, window: int, box: bool = False) -> NCExpr:
     """Replace every abstract symbol by its truncated mode series.
 
     The result is exact on every word whose mode indices all lie inside
     [-window, window]; a few exact boundary words just outside are kept
     rather than pruned.  Each symbol's table is over its prefactor's
     denominator (``symbol_modes``), so the products never reduce.
+
+    With ``box`` only the terms with a in [-window, window]^n are built:
+    each trie node keeps the a that its path's symbols, whose modes m move
+    a_i to a_i - m, can still bring into the box (``ExpansionSeries.within``).
+    A boxed result claims nothing outside the box; nothing caches it.
     """
     if window < 1:
         raise ValueError("window must be positive")
     n = w.expr.n
     tables = {sym: symbol_modes(sym, n, window) for sym in dict.fromkeys(
         sym for word in w.expr.coeffs for sym in word)}
+    prune = None
+    if box:
+        modes = {id(table): (sym.var - 1, _SYMBOL_TABLES[sym.kind][1](window))
+                 for sym, table in tables.items()}
+
+        def prune(value: NCExpr, path) -> NCExpr:
+            lo, hi = [-window] * n, [window] * n
+            for i, m in map(modes.get, map(id, path)):
+                lo[i], hi[i] = lo[i] + min(m), hi[i] + max(m)
+            return NCExpr(n, {word: s.within(lo, hi)
+                              for word, s in value.coeffs.items()}, value.validity)
     return _weighted_sum(n, ((coeff, [tables[sym] for sym in word])
                              for word, coeff in w.expr.coeffs.items()),
-                         w.orientation)
+                         w.orientation, prune)
 
 
 def star_projection(n: int, depth: int, window: int, sign: str) -> NCExpr:

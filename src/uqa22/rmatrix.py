@@ -14,12 +14,11 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 
-from .ncalg import (ModeSymbol, NCExpr, _symbol_from_json, _symbol_json,
-                    iota_word, principal_degree)
+from .ncalg import (ModeSymbol, _symbol_from_json, _symbol_json, iota_word,
+                    principal_degree)
 from .qfield import QRat, qnum, qpow
-from .projection import (_SYMBOL_TABLES, WeightExpr, mode_expand,
-                         weight_minus_closed, weight_plus_closed)
-from .series import ExpansionSeries, pair_sums
+from .projection import mode_expand, weight_minus_closed, weight_plus_closed
+from .series import pair_sums
 
 
 @dataclass(frozen=True)
@@ -77,32 +76,6 @@ def _coupling() -> QRat:
     return qpow(1) - qpow(-1)
 
 
-def _reachable(expr: NCExpr, window: int) -> NCExpr:
-    """The terms of ``expr`` whose mode expansion can reach the window box.
-
-    A symbol on z_i turns z^a into z^(a - m e_i) for each mode m of its
-    kind in ``_SYMBOL_TABLES``, so a word moves a_i by minus a sum of one
-    mode per symbol on z_i, and a_i alone when no symbol is on z_i.  A
-    term is kept if every a_i can land in [-window, window] that way.
-
-    Each series keeps its validity but loses terms below it, so the
-    result breaks the claim d(a) <= validity: it is only ever expanded
-    inside ``r_factor``.
-    """
-    n, coeffs = expr.n, {}
-    for word, series in expr.coeffs.items():
-        lo, hi = [-window] * n, [window] * n
-        for sym in word:
-            modes = _SYMBOL_TABLES[sym.kind][1](window)
-            lo[sym.var - 1] += min(modes)
-            hi[sym.var - 1] += max(modes)
-        box = list(zip(lo, hi))
-        coeffs[word] = ExpansionSeries(n, {
-            a: c for a, c in series.terms.items()
-            if all(l <= e <= h for e, (l, h) in zip(a, box))}, series.validity)
-    return NCExpr(n, coeffs, expr.validity)
-
-
 def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
     """Order-m term of one R factor.
 
@@ -114,8 +87,9 @@ def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
     coupling (q-q^-1)^m; then 1/m!, once per distinct sum).
 
     The expansion depth is raised internally to window * m(m+1)/2, the
-    largest ratio degree in the window.  Only the weight terms that can
-    reach the window are mode-expanded (``_reachable``).
+    largest ratio degree in the window.  The boxed mode expansion
+    (``mode_expand`` with ``box``) holds only the window's terms, claims
+    nothing outside it and is never cached; ``pair_sums`` pairs them all.
     """
     if sign == "+":
         weight = weight_plus_closed
@@ -128,10 +102,7 @@ def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
     if m == 0:
         return TensorExpr({((), ()): qnum(1)}, 0, window)
     w = weight(m, max(depth, window * m * (m + 1) // 2))
-    modes = mode_expand(WeightExpr(_reachable(w.expr, window), w.orientation),
-                        window)
-    sums = pair_sums(modes.coeffs, lambda a: all(abs(e) <= window for e in a),
-                     _coupling() ** m)
+    sums = pair_sums(mode_expand(w, window, box=True).coeffs, _coupling() ** m)
     inv_fact = qnum(1) / factorial(m)
     scaled = {c: c * inv_fact for c in set(sums.values())}
     return TensorExpr({(iota_word(wl), wr): scaled[c]

@@ -451,6 +451,18 @@ class ExpansionSeries:
         if self.n != other.n:
             raise ValueError("mismatched variable count")
 
+    def within(self, lo, hi) -> "ExpansionSeries":
+        """The series cut to its terms z^a with every lo_i <= a_i <= hi_i: it
+        claims nothing outside that box.  Only keys are decoded.  The
+        validity and the carried bounds are kept, inexact once a term is cut."""
+        layout, box = _key_layout(self.n, self._w), list(zip(lo, hi))
+        coeffs = {k: v for k, v in self._c.items()
+                  if all(l <= e <= h for e, (l, h) in zip(_unpack_key(k, layout), box))}
+        if len(coeffs) == len(self._c):
+            return self
+        return _make(self.n, self.validity, coeffs, self._w, self._e, self._s,
+                     self._b, self._d, self._l1, self._m)
+
     # -- storage ------------------------------------------------------------
 
     def _tighten(self):
@@ -638,25 +650,21 @@ class ExpansionSeries:
         )
 
 
-def pair_sums(family: dict, keep, scale: QRat) -> dict:
+def pair_sums(family: dict, scale: QRat) -> dict:
     """{(x, y): scale * sum_a c_x(a) c_y(a)} over the labels x, y of the
-    series c_x of ``family`` and the a with keep(a), for the nonzero sums.
+    series c_x of ``family`` and every stored a, for the nonzero sums.
     The series are brought to one denominator D (``_common``), one key
     width, a slot width that holds every pair sum (``_pair_bounds``) and
-    one q-base; keys are decoded only to test ``keep``.  The pairs
-    multiply and add as packed ints; each distinct nonzero sum is
-    unpacked once, times scale / D^2 as one reduced ``QRat``."""
+    one q-base; no key is decoded.  The pairs multiply and add as packed
+    ints; each distinct nonzero sum is unpacked once, times scale / D^2
+    as one reduced ``QRat``."""
     if not family:
         return {}
-    operands, w, s, _, _ = _aligned(_common(*family.values()), _pair_bounds)
-    layout = _key_layout(operands[0].n, w)
+    operands, _, s, _, _ = _aligned(_common(*family.values()), _pair_bounds)
     b = min([x._b for x in operands if x._c], default=0)
-    inside = {k for k in set().union(*[x._c for x in operands])
-              if keep(_unpack_key(k, layout))}
     by_key = {}
     for label, x in zip(family, operands):
-        kept = {k: v for k, v in x._c.items() if k in inside}
-        for k, v in _rebased(kept, s, x._b - b).items():
+        for k, v in _rebased(x._c, s, x._b - b).items():
             by_key.setdefault(k, []).append((label, v))
     sums = {}
     for pairs in by_key.values():

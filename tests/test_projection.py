@@ -367,6 +367,21 @@ def test_mode_expand_equals_the_full_table_products(n, closed):
     _assert_same_expr(mode_expand(w, 3), _reference_mode_expand(w, 3))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("closed", [weight_plus_closed, weight_minus_closed])
+def test_boxed_mode_expansion_is_the_in_box_part_of_the_full_one(n, closed):
+    # depth n(n+1) is r_factor's floor at window 2; the boxed expansion
+    # builds the terms with every |a_i| <= window and no others
+    w = closed(n, n * (n + 1))
+    for window in range(1, 6):
+        boxed = mode_expand(w, window, box=True)
+        full = mode_expand(w, window)
+        assert {(word, a): c for word, s in boxed.coeffs.items()
+                for a, c in s.terms.items()} \
+            == {(word, a): c for word, s in full.coeffs.items()
+                for a, c in s.terms.items() if all(abs(e) <= window for e in a)}
+
+
 # -- the trie-grouped weighted sum against a plain per-term loop --------------
 
 def _plain_weighted_sum(n, terms):

@@ -6,13 +6,12 @@ from math import factorial
 import pytest
 
 from uqa22.ncalg import ModeSymbol, iota_word, principal_degree
-from uqa22.projection import (WeightExpr, mode_expand, weight_minus_closed,
+from uqa22.projection import (mode_expand, weight_minus_closed,
                               weight_plus_closed, weight_plus_recursive)
 from uqa22.qfield import qnum, qpow
 from uqa22.rmatrix import (
     H_TENSOR_H,
     TensorExpr,
-    _reachable,
     assemble_R,
     cartan_coeff,
     cartan_tensor,
@@ -205,7 +204,7 @@ def test_pair_sum_equals_the_per_pair_reference_off_the_fast_case(m, c):
         family.setdefault(word, {})[a] = v
     # r_factor's coupling: the pair sums with (q-q^-1)^m, then 1/m!
     sums = pair_sums({w: ExpansionSeries(2, t) for w, t in family.items()},
-                     lambda a: True, coupling ** m)
+                     coupling ** m)
     got = {(iota_word(wl), wr): v / factorial(m) for (wl, wr), v in sums.items()}
     assert ((e(-1),), (f(2),)) not in got
     assert got == _per_pair_reference(coeffs, m)
@@ -229,6 +228,11 @@ def _in_window(a):
     return all(abs(x) <= 2 for x in a)
 
 
+def _boxed(family):
+    # every member cut to the window [-2, 2]^2, as r_factor's expansion is
+    return {x: s.within((-2, -2), (2, 2)) for x, s in family.items()}
+
+
 def test_pair_sums_over_mixed_denominators_and_q_bases():
     c = 1 + q ** 3
     low = ExpansionSeries(2, {(0, 1): qpow(-9) - 2, (5, 0): qnum(7)})
@@ -249,7 +253,7 @@ def test_pair_sums_over_mixed_denominators_and_q_bases():
         == {(1,), c.num.coeffs, (c * c).num.coeffs, (3,)}
     assert len({s._b for s in family.values()}) == 4
     for m in (1, 2):
-        got = pair_sums(family, _in_window, coupling ** m)
+        got = pair_sums(_boxed(family), coupling ** m)
         assert got == _pair_sums_reference(family, _in_window, coupling ** m)
         assert len(got) == 16
 
@@ -259,16 +263,16 @@ def test_pair_sums_drop_the_cancelled_pairs():
     # orthogonal in the window: every pair of distinct labels cancels
     x = ExpansionSeries(2, {(0, 1): c, (1, 0): c * q, (3, 0): c})
     y = ExpansionSeries(2, {(0, 1): q, (1, 0): qnum(-1), (3, 0): q})
-    got = pair_sums({"x": x, "y": y}, _in_window, coupling)
+    got = pair_sums(_boxed({"x": x, "y": y}), coupling)
     assert got == _pair_sums_reference({"x": x, "y": y}, _in_window, coupling)
     assert set(got) == {("x", "x"), ("y", "y")}
     # over Q(q) a diagonal sum of squares vanishes only with every term, so
     # a family whose pairs all cancel has no coefficient left in the window
     gone = x + -x
     outside = ExpansionSeries(2, {(3, 0): c, (0, -4): q})
-    assert pair_sums({"gone": gone, "outside": outside, "y": y + -y},
-                     _in_window, coupling) == {}
-    assert pair_sums({}, _in_window, coupling) == {}
+    assert pair_sums(_boxed({"gone": gone, "outside": outside, "y": y + -y}),
+                     coupling) == {}
+    assert pair_sums({}, coupling) == {}
 
 
 def test_r_factor_rejects_an_unknown_sign_at_every_order():
@@ -284,8 +288,7 @@ def test_reachable_weight_expands_to_the_same_box_terms(n, weight):
     # are truncated inside the box, which the pruning must not change
     w = weight(n, n * (n + 1))
     for window in range(1, 6):
-        pruned = WeightExpr(_reachable(w.expr, window), w.orientation)
-        assert _in_box(mode_expand(pruned, window), window) \
+        assert _in_box(mode_expand(w, window, box=True), window) \
             == _in_box(mode_expand(w, window), window)
 
 
@@ -294,11 +297,27 @@ def test_reachable_weight_expands_to_the_same_box_terms(n, weight):
 def test_r_factor_leaves_the_weight_function_unpruned(sign, weight):
     before = weight(2, 6).expr.to_json()
     r_factor(sign, 2, 6, 2)
-    after = weight(2, 6).expr
-    assert after.to_json() == before
-    # the pruning drops terms of this weight, so a leak would show
-    size = sum(len(s.terms) for s in after.coeffs.values())
-    assert sum(len(s.terms) for s in _reachable(after, 2).coeffs.values()) < size
+    w = weight(2, 6)
+    assert w.expr.to_json() == before
+    # the box drops terms of this weight's expansion, so a leak would show
+    size = sum(len(s) for s in mode_expand(w, 2).coeffs.values())
+    assert sum(len(s) for s in mode_expand(w, 2, box=True).coeffs.values()) < size
+
+
+@pytest.mark.parametrize("sign, weight", [("+", weight_plus_closed),
+                                          ("-", weight_minus_closed)])
+def test_r_factor_decodes_no_series(sign, weight, monkeypatch):
+    # only series.py reads the packed terms on the R-factor path: with
+    # the decoded view refused, r_factor still gives the per-pair reference
+    m, depth, window = 2, 4, 3
+    modes = mode_expand(weight(m, max(depth, window * m * (m + 1) // 2)), window)
+    want = _per_pair_reference(_in_box(modes, window), m)
+
+    def refuse(self):
+        raise AssertionError("a series was decoded")
+
+    monkeypatch.setattr(ExpansionSeries, "terms", property(refuse))
+    assert r_factor(sign, m, depth, window).terms == want
 
 
 @pytest.mark.parametrize("sign", "+-")

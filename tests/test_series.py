@@ -448,6 +448,41 @@ def test_packed_product_edge_cases(tx, vx, ty, vy):
     _assert_same_series(y.mul(x), _reference_mul(y, x))
 
 
+# -- the box filter against the decoded terms --------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_box_filter_equals_the_filtered_terms(data):
+    n = data.draw(st.integers(min_value=1, max_value=3), label="n")
+    # a span of 2^16 passes the 16-bit default key width
+    span = data.draw(st.sampled_from([3, 2 ** 16]), label="exponent span")
+    exps = st.tuples(*[st.integers(min_value=-span, max_value=span)] * n)
+    # integer Laurent numerators at nonzero q-bases, and denominators
+    # other than 1
+    coeffs = st.one_of(_int_laurent_coeffs(3), _field_coeffs)
+    validity = st.one_of(st.just(INF), st.integers(min_value=-8, max_value=8))
+    x = ExpansionSeries(n, data.draw(st.dictionaries(exps, coeffs, max_size=6)),
+                        data.draw(validity))
+    if data.draw(st.booleans(), label="sum"):
+        # a sum carries L1 and M bounds that are not exact
+        x = x + ExpansionSeries(n, data.draw(st.dictionaries(exps, coeffs, max_size=6)),
+                                data.draw(validity))
+    lo = data.draw(exps, label="lo")
+    hi = data.draw(st.tuples(*[st.integers(min_value=l - 1, max_value=l + span)
+                               for l in lo]), label="hi")
+    want = {a: c for a, c in x.terms.items()
+            if all(l <= e <= h for e, l, h in zip(a, lo, hi))}
+    got = x.within(lo, hi)
+    assert (got.n, got.validity, len(got)) == (x.n, x.validity, len(want))
+    assert got.terms == want
+    slots = [abs(c) for v in got._c.values()
+             for c in series_module._slots(v, got._s)[1]]
+    assert got._l1 >= sum(slots) and got._m >= max(slots, default=0)
+    # a box past every exponent keeps nothing, and the validity
+    empty = x.within((span + 1,) * n, (span + 1,) * n)
+    assert (len(empty), empty.terms, empty.validity) == (0, {}, x.validity)
+
+
 # -- the packed chain of expand against the pairwise chain -------------------
 
 def _pairwise_expand(fr, depth):
