@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -32,57 +33,91 @@ from .verify import SUITE_NAMES, run_suite
 SCHEMA_VERSION = 1
 
 
-def _json_text(obj, indent: str, memo: dict) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=1)`` of an exact value,
-    nested at ``indent``.  Each container joins its items once, and a dict
-    met a third time at the same indent reuses its text from ``memo``."""
+# the text of each scalar the canonical JSON admits, by exact type: a bool
+# or a str or int subclass finds no entry and is refused
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+                 bool: {False: "false", True: "true"}.__getitem__,
+                 type(None): lambda _: "null"}
+
+
+def _json_write(obj, indent: str, memo: dict, put):
+    """Write ``json.dumps(obj, sort_keys=True, indent=1)`` of an exact value,
+    nested at ``indent``, through ``put``.  A container writes its scalar
+    items in its own loop and calls this function for its container items
+    only; a dict met a third time at the same indent reuses its text from
+    ``memo``."""
     t = type(obj)
-    if t is str:
-        return encode_basestring_ascii(obj)
     if t is dict:
         if not obj:
-            return "{}"
+            put("{}")
+            return
         seen = (id(obj), indent)
         text = memo.get(seen)
         if text:
-            return text
-        inner = indent + " "
+            put(text)
+            return
         for key in obj:
             if type(key) is not str:
                 raise TypeError(f"non-string key {key!r} in canonical JSON")
-        items = [encode_basestring_ascii(k) + ": " + _json_text(obj[k], inner, memo)
-                 for k in sorted(obj)]
-        text = "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
         # keep a text from the dict's second visit on: the texts of the
         # many dicts met once would stay alive until the call returns
-        memo[seen] = text if seen in memo else ""
-        return text
-    if t is list or t is tuple:
-        if not obj:
-            return "[]"
+        keep = text is not None
+        if keep:
+            pieces = []
+            out = pieces.append
+        else:
+            memo[seen] = ""
+            out = put
         inner = indent + " "
-        items = [_json_text(v, inner, memo) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if t is int:
-        return int.__repr__(obj)
-    raise TypeError(f"{t.__name__} value {obj!r} is not allowed in canonical JSON")
+        sep = "{\n" + inner
+        for k in sorted(obj):
+            v = obj[k]
+            scalar = _JSON_SCALARS.get(type(v))
+            if scalar is None:
+                out(sep + encode_basestring_ascii(k) + ": ")
+                _json_write(v, inner, memo, out)
+            else:
+                out(sep + encode_basestring_ascii(k) + ": " + scalar(v))
+            sep = ",\n" + inner
+        out("\n" + indent + "}")
+        if keep:
+            memo[seen] = text = "".join(pieces)
+            put(text)
+    elif t is list or t is tuple:
+        if not obj:
+            put("[]")
+            return
+        inner = indent + " "
+        sep = "[\n" + inner
+        for v in obj:
+            scalar = _JSON_SCALARS.get(type(v))
+            if scalar is None:
+                put(sep)
+                _json_write(v, inner, memo, put)
+            else:
+                put(sep + scalar(v))
+            sep = ",\n" + inner
+        put("\n" + indent + "]")
+    else:
+        scalar = _JSON_SCALARS.get(t)
+        if scalar is None:
+            raise TypeError(f"{t.__name__} value {obj!r} is not allowed in canonical JSON")
+        put(scalar(obj))
 
 
 def _canonical_json(obj) -> str:
     """The canonical artifact text: sorted keys, one-space indent, ASCII.
 
     Only str, int, bool, None, lists, tuples and str-keyed dicts are
-    accepted; a float or any other type raises ``TypeError``.  A dict
-    shared within ``obj`` is written at most twice; the memo keyed by its
-    ``id`` lives only for this call, while ``obj`` keeps every id in use.
+    accepted; a float or any other type raises ``TypeError``.  The text is
+    written piece by piece into one buffer.  A dict shared within ``obj``
+    is written at most twice; the memo keyed by its ``id`` lives only for
+    this call, while ``obj`` keeps every id in use.
     """
-    return _json_text(obj, "", {}) + "\n"
+    buf = io.StringIO()
+    _json_write(obj, "", {}, buf.write)
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def _cache_dir(args) -> Path | None:
@@ -153,7 +188,12 @@ def _cached(args, key_fields: dict, compute):
                       f"expected {schema!r}; recomputing", file=sys.stderr)
     text = _canonical_json(compute())
     if cdir is not None:
-        _atomic_write(cdir / f"{key}.json", text)
+        path = cdir / f"{key}.json"
+        try:
+            _atomic_write(path, text)
+        except OSError as exc:
+            print(f"warning: cannot write cache entry {path}: {exc}; "
+                  "continuing without it", file=sys.stderr)
     return text
 
 

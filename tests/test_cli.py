@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, caching, exit codes."""
 
+import enum
 import hashlib
 import json
 import os
@@ -128,6 +129,20 @@ def test_cache_entry_with_foreign_schema_is_recomputed(tmp_path, capsys):
     assert "has schema 'uqa22/weight/v0'" in captured.err
     assert "recomputing" in captured.err
     assert entry.read_text() == first
+
+
+def test_unwritable_cache_warns_and_still_writes_the_artifact(tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    out = tmp_path / "o.json"
+    code = main(["weight", "plus", "--n", "1", "--cache-dir", str(blocker / "sub"),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "warning: cannot write cache entry" in captured.err
+    assert not list(tmp_path.rglob(".tmp-*"))
+    _, direct = invoke(capsys, ["weight", "plus", "--n", "1", "--no-cache"])
+    assert out.read_text() == direct
 
 
 @pytest.mark.parametrize("env, flag, where", [
@@ -444,6 +459,7 @@ _json_values = st.recursive(
     _json_leaves,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=6), inner, max_size=4)),
     max_leaves=30)
 
@@ -480,9 +496,19 @@ def test_canonical_json_edge_values():
 _SHARED_FLOAT = {"x": {"y": [1, 0.5]}}
 
 
+class _Str(str):
+    pass
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
 @pytest.mark.parametrize("obj", [0.5, [1, 2.0], {"a": {"b": float("nan")}},
                                  {1: "int key"}, {"a": {1, 2}},
-                                 [_SHARED_FLOAT, _SHARED_FLOAT, [_SHARED_FLOAT]]])
+                                 [_SHARED_FLOAT, _SHARED_FLOAT, [_SHARED_FLOAT]],
+                                 {"a": _Str("s")}, [_Colour.RED], _Str("s"),
+                                 _Colour.RED])
 def test_canonical_json_rejects_inexact_and_unknown_values(obj):
     with pytest.raises(TypeError):
         cli._canonical_json(obj)
@@ -500,13 +526,13 @@ def test_canonical_json_memo_does_not_outlive_the_call():
 
 def test_canonical_json_reuses_a_shared_dict_text(monkeypatch):
     calls = []
-    inner = cli._json_text
+    inner = cli._json_write
 
-    def counting(obj, indent, memo):
+    def counting(obj, indent, memo, put):
         calls.append(obj)
-        return inner(obj, indent, memo)
+        return inner(obj, indent, memo, put)
 
-    monkeypatch.setattr(cli, "_json_text", counting)
+    monkeypatch.setattr(cli, "_json_write", counting)
     coeff = {"num": [[0, "1"], [1, "-2"]], "den": [[0, "1"], [3, "1"]]}
     cli._canonical_json({"terms": [coeff] * 10})
     ten = len(calls)
@@ -652,9 +678,8 @@ def test_input_error_prints_no_traceback():
 
 @pytest.mark.parametrize("argv", [
     "weight plus --n 1 --no-cache --out {dir}",
-    "weight plus --n 1 --cache-dir {file}",
     "verify --suite kernels --report {file}/x.json",
-], ids=["out-is-a-directory", "cache-dir-is-a-file", "report-under-a-file"])
+], ids=["out-is-a-directory", "report-under-a-file"])
 def test_unwritable_output_path_exits_with_a_message(argv, tmp_path):
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("")
