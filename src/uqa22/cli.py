@@ -177,9 +177,9 @@ def _cached(args, key_fields: dict, compute):
             try:
                 text = path.read_text()
                 data = json.loads(text)
-            except ValueError:  # UnicodeDecodeError included
-                print(f"warning: corrupt cache entry {path}; recomputing",
-                      file=sys.stderr)
+            except (ValueError, OSError) as exc:  # UnicodeDecodeError included
+                print(f"warning: corrupt cache entry {path} ({exc}); "
+                      "recomputing", file=sys.stderr)
             else:
                 found = data.get("schema") if isinstance(data, dict) else None
                 if found == schema:
@@ -263,8 +263,7 @@ def _cmd_weight(args) -> int:
 
 def _cmd_rmatrix(args) -> int:
     def compute():
-        factors = assemble_R(args.order, args.depth, args.window,
-                             args.cartan_order)
+        factors = assemble_R(args.order, args.window, cartan_order=args.cartan_order)
         return {
             "schema": f"uqa22/rmatrix/v{SCHEMA_VERSION}",
             "order": args.order,
@@ -409,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("rmatrix", help="pairing-tensor factors")
     r.add_argument("--order", type=int, default=1)
-    r.add_argument("--depth", type=int, default=4)
+    r.add_argument("--depth", type=int, default=4,
+                   help="echoed into the artifact and its cache key only")
     r.add_argument("--window", type=int, default=4)
     r.add_argument("--cartan-order", type=int, default=1)
     common(r, ("json", "text"))

@@ -76,7 +76,7 @@ def _coupling() -> QRat:
     return qpow(1) - qpow(-1)
 
 
-def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
+def r_factor(sign: str, m: int, window: int) -> TensorExpr:
     """Order-m term of one R factor.
 
     The f leg of the order-m pairing term is projected with the weight
@@ -86,22 +86,19 @@ def r_factor(sign: str, m: int, depth: int, window: int) -> TensorExpr:
     words passing through the involution (``pair_sums``, with the
     coupling (q-q^-1)^m; then 1/m!, once per distinct sum).
 
-    The expansion depth is raised internally to window * m(m+1)/2, the
-    largest ratio degree in the window.  The boxed mode expansion
-    (``mode_expand`` with ``box``) holds only the window's terms, claims
-    nothing outside it and is never cached; ``pair_sums`` pairs them all.
+    The weight is expanded at depth window * m(m+1)/2, the largest ratio
+    degree in the window.  The boxed mode expansion (``mode_expand`` with
+    ``box``) holds only the window's terms, claims nothing outside it and
+    is never cached; ``pair_sums`` pairs them all.
     """
-    if sign == "+":
-        weight = weight_plus_closed
-    elif sign == "-":
-        weight = weight_minus_closed
-    else:
+    weight = {"+": weight_plus_closed, "-": weight_minus_closed}.get(sign)
+    if weight is None:
         raise ValueError(f"unknown sign {sign!r}")
     if m < 0:
         raise ValueError("order must be nonnegative")
     if m == 0:
         return TensorExpr({((), ()): qnum(1)}, 0, window)
-    w = weight(m, max(depth, window * m * (m + 1) // 2))
+    w = weight(m, window * m * (m + 1) // 2)
     sums = pair_sums(mode_expand(w, window, box=True).coeffs, _coupling() ** m)
     inv_fact = qnum(1) / factorial(m)
     scaled = {c: c * inv_fact for c in set(sums.values())}
@@ -138,25 +135,24 @@ def cartan_tensor(cutoff: int, order: int = 1) -> TensorExpr:
             c = c0
             for k in nvec:
                 c = c * coeffs[k]
-            key = (left, right)
-            t = terms.get(key)
-            terms[key] = c if t is None else t + c
+            # ordered index tuples are distinct: no key is met twice
+            terms[(left, right)] = c
     return TensorExpr(terms, order, cutoff)
 
 
-def assemble_R(order: int, depth: int, window: int, cartan_order: int = 1):
+def assemble_R(order: int, window: int, *, cartan_order: int = 1):
     """The four R-matrix factors in multiplication order.
 
     Returns [R_plus^21, q^(h x h) token, K^21, R_minus] where each R
-    factor sums the pairing terms up to ``order``.  No multiplication
-    across factors is attempted; they live in different completions.
+    factor sums the pairing terms up to ``order``, each order m at its
+    own expansion depth (``r_factor``).  No multiplication across
+    factors is attempted; they live in different completions.
     """
     def summed(sign):
         total = {}
         for m in range(order + 1):
-            for k, c in r_factor(sign, m, depth, window).terms.items():
-                t = total.get(k)
-                total[k] = c if t is None else t + c
+            # order-m word pairs have length m: no two orders share a key
+            total.update(r_factor(sign, m, window).terms)
         return TensorExpr(total, order, window)
 
     return [

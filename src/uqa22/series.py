@@ -210,7 +210,8 @@ def _make(n, validity, coeffs, w, e, s, b, d, l1, m, exact=False):
     """A series over the stored ``coeffs`` (nonzero, inside the bound);
     ``exact`` tells that ``l1`` and ``m`` are the L1 and M themselves."""
     out = ExpansionSeries.__new__(ExpansionSeries)
-    out.n, out.validity, out._c, out._terms = n, validity, coeffs, None
+    out.n, out.validity, out._c = n, validity, coeffs
+    out._terms = out._narrow = None
     out._w, out._e, out._s, out._b, out._d = w, e, s, b, d
     out._l1, out._m, out._exact = l1, m, exact
     return out
@@ -267,8 +268,9 @@ def _aligned(operands: list, bounds):
     bounds.  Otherwise each width is the default or the least wider one
     that holds its bound.  Carried bounds only grow, so a peak past the
     default slot width is first recomputed from the operands' slots
-    (``_tighten``).  An operand narrowed to s keeps its narrower layout,
-    as ``_tighten`` keeps its lower bounds: both leave the value as it is.
+    (``_tighten``, which lowers only the carried bounds).  An operand at
+    other widths is relaid into a new series (``_relaid``); no operand is
+    rewritten.
     """
     e, peak, l1, m = bounds(operands)
     w, s = operands[0]._w, operands[0]._s
@@ -285,17 +287,8 @@ def _aligned(operands: list, bounds):
                 x._tighten()
         e, peak, l1, m = bounds(operands)
     s = _width(_SLOT_WIDTH, peak)
-    out = []
-    for x in operands:
-        if x._w != w or x._s != s:
-            y = x._relaid(w, s)
-            if s < x._s:
-                # the narrower layout serves every later use too: adopt it
-                x._c, x._w, x._s = y._c, w, s
-            else:
-                x = y
-        out.append(x)
-    return out, w, s, l1, m
+    return [x if x._w == w and x._s == s else x._relaid(w, s)
+            for x in operands], w, s, l1, m
 
 
 def _common(*operands: "ExpansionSeries") -> list:
@@ -387,7 +380,7 @@ class ExpansionSeries:
     """
 
     __slots__ = ("n", "validity", "_c", "_w", "_e", "_s", "_b", "_d", "_l1",
-                 "_m", "_exact", "_terms")
+                 "_m", "_exact", "_terms", "_narrow")
 
     def __init__(self, n: int, terms=None, validity=INF):
         terms = {a: c for a, c in (terms or {}).items()
@@ -399,7 +392,8 @@ class ExpansionSeries:
         s = _width(_SLOT_WIDTH, m)
         coeffs = {_pack_key(a, layout): _pack_coeff(p, s, b)
                   for a, p in zip(terms, nums)}
-        self.n, self.validity, self._c, self._terms = n, validity, coeffs, None
+        self.n, self.validity, self._c = n, validity, coeffs
+        self._terms = self._narrow = None
         self._w, self._e, self._s, self._b, self._d = w, e, s, b, d
         self._l1, self._m, self._exact = l1, m, True
 
@@ -476,7 +470,11 @@ class ExpansionSeries:
         self._l1, self._m, self._exact = l1, m, True
 
     def _relaid(self, w: int, s: int) -> "ExpansionSeries":
-        """The same series at key width w and slot width s."""
+        """The same series at key width w and slot width s.  A narrower copy
+        serves later calls too: it is kept beside the unchanged series."""
+        kept = self._narrow
+        if kept is not None and kept._w == w and kept._s == s:
+            return kept
         coeffs, s0 = self._c, self._s
         if w != self._w:
             old, new = _key_layout(self.n, self._w), _key_layout(self.n, w)
@@ -485,8 +483,11 @@ class ExpansionSeries:
         if s != s0:
             coeffs = {k: _encode(*reversed(_slots(v, s0)), s)
                       for k, v in coeffs.items()}
-        return _make(self.n, self.validity, coeffs, w, self._e, s, self._b,
-                     self._d, self._l1, self._m, self._exact)
+        out = _make(self.n, self.validity, coeffs, w, self._e, s, self._b,
+                    self._d, self._l1, self._m, self._exact)
+        if s < s0:
+            self._narrow = out
+        return out
 
     # -- arithmetic -------------------------------------------------------
 

@@ -178,7 +178,7 @@ def test_criterion_7_duality():
 def test_criterion_8_r_factors_and_cartan():
     window = 8
     coupling = q - qpow(-1)
-    t = r_factor("+", 1, 2, window)
+    t = r_factor("+", 1, window)
     want = {((ModeSymbol("e", -k),), (ModeSymbol("f", k),)): coupling
             for k in range(1, window + 1)}
     ok = t.terms == want

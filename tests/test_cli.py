@@ -81,6 +81,37 @@ def test_weight_cache_entry_with_invalid_utf8_recovers(tmp_path, capsys):
     assert "recomputing" in captured.err
 
 
+def test_unreadable_cache_entry_warns_and_still_writes_the_artifact(tmp_path,
+                                                                    capsys):
+    cache, out = tmp_path / "cache", tmp_path / "o.json"
+    args = ["weight", "plus", "--n", "1", "--depth", "2",
+            "--cache-dir", str(cache)]
+    _, first = invoke(capsys, args)
+    entry = next(cache.glob("*.json"))
+    entry.unlink()
+    entry.mkdir()   # an entry path that exists but cannot be read
+    code = main(args + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0 and out.read_text() == first
+    assert f"corrupt cache entry {entry}" in captured.err
+    assert "recomputing" in captured.err
+    assert "warning: cannot write cache entry" in captured.err
+    assert entry.is_dir()
+
+
+def test_rmatrix_depth_changes_only_the_echoed_field_and_the_cache_key(
+        tmp_path, capsys):
+    texts = []
+    for depth in ("0", "20"):
+        code, out = invoke(capsys, ["rmatrix", "--order", "2", "--window", "3",
+                                    "--depth", depth, "--cache-dir", str(tmp_path)])
+        assert code == 0
+        texts.append(json.loads(out))
+    assert [t.pop("depth") for t in texts] == [0, 20]
+    assert texts[0] == texts[1]
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
 def test_cache_is_keyed_on_the_engine_fingerprint(tmp_path, capsys,
                                                   monkeypatch):
     args = ["weight", "plus", "--n", "2", "--depth", "3",
@@ -600,7 +631,7 @@ def test_mode_expansion_to_json_shares_equal_coefficients(sign, n):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_rmatrix_tensor_to_json_shares_equal_coefficients(order):
-    factors = assemble_R(order, 4, 3)
+    factors = assemble_R(order, 3)
     reused = 0
     for t in (factors[0], factors[2], factors[3]):
         data = t.to_json()

@@ -370,7 +370,7 @@ def test_mode_expand_equals_the_full_table_products(n, closed):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("closed", [weight_plus_closed, weight_minus_closed])
 def test_boxed_mode_expansion_is_the_in_box_part_of_the_full_one(n, closed):
-    # depth n(n+1) is r_factor's floor at window 2; the boxed expansion
+    # depth n(n+1) is r_factor's expansion depth at window 2; the boxed expansion
     # builds the terms with every |a_i| <= window and no others
     w = closed(n, n * (n + 1))
     for window in range(1, 6):

@@ -32,23 +32,23 @@ def f(k):
 
 
 def test_r_plus_order_one():
-    t = r_factor("+", 1, 2, 8)
+    t = r_factor("+", 1, 8)
     assert t.terms == {((e(-k),), (f(k),)): coupling for k in range(1, 9)}
 
 
 def test_r_minus_order_one():
-    t = r_factor("-", 1, 2, 8)
+    t = r_factor("-", 1, 8)
     assert t.terms == {((e(k),), (f(-k),)): coupling for k in range(0, 9)}
 
 
 def test_r_order_zero_is_trivial():
     for sign in "+-":
-        assert r_factor(sign, 0, 2, 4).terms == {((), ()): qnum(1)}
+        assert r_factor(sign, 0, 4).terms == {((), ()): qnum(1)}
 
 
 def test_r_factor_degrees_pair_to_zero():
     for sign in "+-":
-        t = r_factor(sign, 2, 4, 2)
+        t = r_factor(sign, 2, 2)
         assert t.terms
         for (l, r) in t.terms:
             assert principal_degree(l) + principal_degree(r) == 0
@@ -75,7 +75,7 @@ def test_r_plus_order_two_against_recursive_path():
                 add = c2 * cl * cr
                 want[key] = want.get(key, qnum(0)) + add
     want = {k: v for k, v in want.items() if not v.is_zero()}
-    got = r_factor("+", 2, 4, window)
+    got = r_factor("+", 2, window)
     assert got.terms == want
 
 
@@ -116,12 +116,12 @@ def test_cartan_tensor_rejects_negative_order():
 
 
 def test_flip_is_an_involution():
-    t = r_factor("+", 1, 2, 3)
+    t = r_factor("+", 1, 3)
     assert t.flip().flip().terms == t.terms
 
 
 def test_assemble_orders_the_factors():
-    factors = assemble_R(1, 2, 2)
+    factors = assemble_R(1, 2)
     assert len(factors) == 4
     assert factors[1] is H_TENSOR_H
     # first factor is flipped: mode words live on the opposite legs
@@ -131,7 +131,7 @@ def test_assemble_orders_the_factors():
 
 
 def test_tensor_json_round_trip():
-    t = r_factor("-", 1, 2, 3)
+    t = r_factor("-", 1, 3)
     back = TensorExpr.from_json(t.to_json())
     assert back.terms == t.terms
     assert (back.order, back.window) == (t.order, t.window)
@@ -140,7 +140,7 @@ def test_tensor_json_round_trip():
 def test_assemble_with_zero_effective_window():
     # a window of 1 with order 0 keeps every factor trivial except the
     # Cartan tensor's first mode
-    factors = assemble_R(0, 2, 1, cartan_order=0)
+    factors = assemble_R(0, 1, cartan_order=0)
     assert factors[0].terms == {((), ()): qnum(1)}
     assert factors[2].terms == {((), ()): qnum(1)}
     assert factors[3].terms == {((), ()): qnum(1)}
@@ -172,10 +172,11 @@ def _in_box(expr, window):
     pytest.param(1, 3, id="1"), pytest.param(2, 3, id="2"),
     pytest.param(2, 8, id="2-window8"), pytest.param(3, 2, id="3-window2")])
 def test_r_factor_equals_the_per_pair_coupling_reference(sign, m, window):
-    depth = 4
+    # the reference expands at least 4 deep, deeper than r_factor's
+    # window*m(m+1)/2 at order 1, window 3: that depth misses no box term
     weight = weight_plus_closed if sign == "+" else weight_minus_closed
-    modes = mode_expand(weight(m, max(depth, window * m * (m + 1) // 2)), window)
-    assert r_factor(sign, m, depth, window).terms \
+    modes = mode_expand(weight(m, max(4, window * m * (m + 1) // 2)), window)
+    assert r_factor(sign, m, window).terms \
         == _per_pair_reference(_in_box(modes, window), m)
 
 
@@ -278,13 +279,13 @@ def test_pair_sums_drop_the_cancelled_pairs():
 def test_r_factor_rejects_an_unknown_sign_at_every_order():
     for m in (0, 1):
         with pytest.raises(ValueError, match="unknown sign 'x'"):
-            r_factor("x", m, 2, 2)
+            r_factor("x", m, 2)
 
 
 @pytest.mark.parametrize("weight", [weight_plus_closed, weight_minus_closed])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_reachable_weight_expands_to_the_same_box_terms(n, weight):
-    # depth n(n+1) is r_factor's floor at window 2; the wider windows
+    # depth n(n+1) is r_factor's expansion depth at window 2; the wider windows
     # are truncated inside the box, which the pruning must not change
     w = weight(n, n * (n + 1))
     for window in range(1, 6):
@@ -296,7 +297,7 @@ def test_reachable_weight_expands_to_the_same_box_terms(n, weight):
                                           ("-", weight_minus_closed)])
 def test_r_factor_leaves_the_weight_function_unpruned(sign, weight):
     before = weight(2, 6).expr.to_json()
-    r_factor(sign, 2, 6, 2)
+    r_factor(sign, 2, 2)
     w = weight(2, 6)
     assert w.expr.to_json() == before
     # the box drops terms of this weight's expansion, so a leak would show
@@ -309,22 +310,19 @@ def test_r_factor_leaves_the_weight_function_unpruned(sign, weight):
 def test_r_factor_decodes_no_series(sign, weight, monkeypatch):
     # only series.py reads the packed terms on the R-factor path: with
     # the decoded view refused, r_factor still gives the per-pair reference
-    m, depth, window = 2, 4, 3
-    modes = mode_expand(weight(m, max(depth, window * m * (m + 1) // 2)), window)
+    m, window = 2, 3
+    modes = mode_expand(weight(m, window * m * (m + 1) // 2), window)
     want = _per_pair_reference(_in_box(modes, window), m)
 
     def refuse(self):
         raise AssertionError("a series was decoded")
 
     monkeypatch.setattr(ExpansionSeries, "terms", property(refuse))
-    assert r_factor(sign, m, depth, window).terms == want
+    assert r_factor(sign, m, window).terms == want
 
 
-@pytest.mark.parametrize("sign", "+-")
-@pytest.mark.parametrize("m, window", [(1, 3), (2, 3)])
-def test_r_factor_does_not_depend_on_depth_above_its_floor(sign, m, window):
-    # r_factor raises the depth to window*m(m+1)/2, and no in-window
-    # exponent has a larger ratio degree, so a deeper expansion adds nothing
-    floor = window * m * (m + 1) // 2
-    assert r_factor(sign, m, 0, window).terms \
-        == r_factor(sign, m, floor + 4, window).terms
+def test_assemble_takes_the_cartan_order_by_keyword_only():
+    # an old (order, depth, window) call must not pass as (order, window,
+    # cartan_order)
+    with pytest.raises(TypeError):
+        assemble_R(1, 2, 2)

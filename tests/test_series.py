@@ -880,6 +880,23 @@ def test_a_product_past_the_default_slot_width_repacks_exactly():
     _check(small.mul(xy), *_dict_mul(small.terms, INF, xy.terms, INF))
 
 
+def test_an_operation_that_narrows_an_operand_leaves_the_operand_as_it_was():
+    big = 2 ** 62
+    x = ExpansionSeries(2, {_z1: qnum(big)}, INF)
+    tsmall = {_z2: _laurent(1, [1, 1])}
+    # small values under carried bounds past 2^62, at a wide slot width
+    y = (x + ExpansionSeries(2, tsmall, INF)) + (-x)
+    assert y._s > series_module._SLOT_WIDTH
+    c, w, s = y._c, y._w, y._s
+    stored = dict(c)
+    yy = y.mul(y)
+    assert yy._s == series_module._SLOT_WIDTH
+    assert (y._c, y._w, y._s) == (c, w, s) and y._c is c and c == stored
+    _check(y, tsmall, INF)
+    _check(yy, *_dict_mul(tsmall, INF, tsmall, INF))
+    assert y.mul(y) == yy   # through the narrower copy kept beside y
+
+
 def test_a_sum_past_the_default_key_width_repacks_exactly():
     edge = 2 ** (series_module._KEY_WIDTH - 1)
     tx = {(edge - 1, -3): qnum(2), (0, 1): q}
