@@ -119,11 +119,21 @@ def admissible_pairs(n: int, r: int, orientation: str):
     indices = range(1, n + 1)
     js = sorted((tuple(sorted(c, reverse=True))
                  for c in itertools.combinations(indices, r)), reverse=True)
+
+    def fill(J, rest, I):
+        # I[k] < J[k] for every k: the rows in the order of
+        # permutations(rest, r), each entry tried in ascending order
+        if len(I) == r:
+            out.append(AdmissiblePair(I, J, PLUS, n))
+            return
+        for x in rest:
+            if x >= J[len(I)]:
+                break
+            if x not in I:
+                fill(J, rest, I + (x,))
+
     for J in js:
-        rest = [x for x in indices if x not in J]
-        for I in itertools.permutations(rest, r):
-            if all(i < j for i, j in zip(I, J)):
-                out.append(AdmissiblePair(I, J, PLUS, n))
+        fill(J, [x for x in indices if x not in J], ())
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from .ncalg import (ModeSymbol, _symbol_from_json, _symbol_json, iota_word,
@@ -106,8 +107,10 @@ def r_factor(sign: str, m: int, window: int) -> TensorExpr:
                        for (wl, wr), c in sums.items()}, m, window)
 
 
+@lru_cache(maxsize=None)
 def cartan_coeff(n: int) -> QRat:
-    """Coefficient of a_{-n} (x) a_n in the Cartan tensor exponent."""
+    """Coefficient of a_{-n} (x) a_n in the Cartan tensor exponent,
+    computed once per n (a ``QRat`` is immutable)."""
     if n <= 0:
         raise ValueError("mode index must be positive")
     num = (_coupling() ** 2) * qnum(n)

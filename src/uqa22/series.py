@@ -708,9 +708,13 @@ class FactoredRational:
     as in every binomial z_i - c z_j of the weight function's blocks: the
     constructor refuses any other, and the derived values reuse factors
     it has checked.
+
+    ``_form`` holds the integers ``eval_exact`` reads (``_compile``),
+    filled on the first evaluation; it is derived from the three fields
+    and enters no output, comparison or expansion.
     """
 
-    __slots__ = ("n", "scalar", "monomial", "factors")
+    __slots__ = ("n", "scalar", "monomial", "factors", "_form")
 
     def __init__(self, n: int, scalar=ONE, monomial=None, factors=()):
         self.n = n
@@ -746,6 +750,7 @@ class FactoredRational:
                 scalar = scalar * merged
         out = self._with(scalar, mono, kept)
         self.scalar, self.monomial, self.factors = out.scalar, out.monomial, out.factors
+        self._form = None
 
     def is_zero(self) -> bool:
         return self.scalar.is_zero()
@@ -779,6 +784,7 @@ class FactoredRational:
         if scalar.is_zero():
             scalar, mono, kept = ZERO, (0,) * self.n, ()
         out.scalar, out.monomial, out.factors = scalar, tuple(mono), tuple(kept)
+        out._form = None
         return out
 
     def inv(self) -> "FactoredRational":
@@ -853,36 +859,67 @@ class FactoredRational:
                    for u, i, v, j, m in self.factors]
         return _product(self.n, [head, *factors])
 
+    def _compile(self):
+        """The integers ``eval_exact`` reads, derived once per value.
+
+        With u = a q^k, v = b q^l and e = min(k, l), a binomial is
+        (u z_i + v z_j)^m = q^(e*m) ((s z_x + t q^g z_y) / d)^m, with
+        g = |l - k|, z_y the variable whose coefficient has the larger
+        q-exponent, and s, t, d the integers an*bd, bn*ad, ad*bd read off
+        a = an/ad and b = bn/bd (s and t swap with the variables).
+        Returns (total, pole0, rows): total = sum e*m; one row
+        (s, x, t, y, d, g, m) per binomial, x and y 0-based; and pole0,
+        whether q0 = 0 is a pole because some u or v has a negative
+        exponent or some e > 0 carries m < 0.  No q-power in a row is
+        negative, so a row is finite at q0 = 0, and folding q^(e*m) into
+        total hides no pole there.
+        """
+        total, pole0, rows = 0, False, []
+        for u, i, v, j, m in self.factors:
+            (k, a), (l, b) = u.as_monomial(), v.as_monomial()
+            an_bd, bn_ad = a.numerator * b.denominator, b.numerator * a.denominator
+            e = min(k, l)
+            total += e * m
+            pole0 = pole0 or e < 0 or (e > 0 and m < 0)
+            row = ((an_bd, i - 1, bn_ad, j - 1) if l >= k
+                   else (bn_ad, j - 1, an_bd, i - 1))
+            rows.append((*row, a.denominator * b.denominator, abs(l - k), m))
+        self._form = total, pole0, tuple(rows)
+        return self._form
+
     def eval_exact(self, q0, zvals) -> Fraction:
         """Exact value at rational q0 and z values; raises on a pole.
 
         The value is kept as one integer numerator and denominator, which
-        the scalar at q0, each z^e and each binomial (u z_i + v z_j)^m,
-        over the common denominator of its two products, multiply into;
-        a negative exponent swaps the two.  The scalar, u and v are
-        evaluated as integer pairs (``QRat.eval_pair``).  The returned
-        Fraction is the only one formed, so a value costs one gcd.  A vanishing base with
-        m > 0 makes the value 0, but a later pole still raises.
+        the scalar at q0 (``QRat.eval_pair``), each z^e, q0^total and each
+        binomial (s z_x + t q0^g z_y)^m / d^m of the compiled form
+        (``_compile``, run once per value) multiply into; a negative
+        exponent swaps the two.  The returned Fraction is the only one
+        formed, so a value costs one gcd.  A vanishing base with m > 0
+        makes the value 0, but a later pole still raises.
         """
-        zs = [_as_fraction(z) for z in zvals]
+        zs = [_as_fraction(z).as_integer_ratio() for z in zvals]
         if len(zs) != self.n:
             raise ValueError("wrong number of z values")
-        q0 = _as_fraction(q0)
-        qn, qd = q0.numerator, q0.denominator
+        qn, qd = _as_fraction(q0).as_integer_ratio()
         num, den = self.scalar.eval_pair(qn, qd)
-        for e, z in zip(self.monomial, zs):
+        total, pole0, rows = self._form or self._compile()
+        if pole0 and not qn:
+            raise ZeroDivisionError("pole at q0 = 0")
+        for e, (top, bottom) in zip(self.monomial, zs):
             if e:
-                top, bottom = z.numerator, z.denominator
                 if e < 0:
                     # z = 0 leaves den = 0, and the final Fraction raises
                     top, bottom, e = bottom, top, -e
                 num, den = num * top ** e, den * bottom ** e
-        for u, i, v, j, m in self.factors:
-            (an, ad), (bn, bd) = u.eval_pair(qn, qd), v.eval_pair(qn, qd)
-            zi, zj = zs[i - 1], zs[j - 1]
-            an, ad = an * zi.numerator, ad * zi.denominator
-            bn, bd = bn * zj.numerator, bd * zj.denominator
-            top, bottom = an * bd + bn * ad, ad * bd
+        if total > 0:
+            num, den = num * qn ** total, den * qd ** total
+        elif total < 0:
+            num, den = num * qd ** -total, den * qn ** -total
+        for s, x, t, y, d, g, m in rows:
+            (xn, xd), (yn, yd), r = zs[x], zs[y], qd ** g
+            top = s * xn * yd * r + t * yn * xd * qn ** g
+            bottom = d * xd * yd * r
             if m < 0:
                 if not top:
                     raise ZeroDivisionError("pole hit")

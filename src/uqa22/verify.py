@@ -72,8 +72,8 @@ class SuiteReport:
 def _rationals(rng: random.Random):
     """Small random nonzero rationals, at most 7 bits on either side."""
     while True:
-        yield Fraction(rng.randint(1, 127), rng.randint(1, 127)) \
-            * rng.choice([1, -1])
+        a, b = rng.randint(1, 127), rng.randint(1, 127)
+        yield Fraction(a * rng.choice([1, -1]), b)
 
 
 _BRUTE_MAX_N = 10

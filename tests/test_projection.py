@@ -1,6 +1,7 @@
 """Weight functions: combinatorics, the two evaluators, mode expansion."""
 
 import gc
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
@@ -74,6 +75,30 @@ def test_minus_pairs_come_in_sorted_order(n):
     for r in range(n // 2 + 1):
         got = [(p.I, p.J) for p in admissible_pairs(n, r, MINUS)]
         assert got == sorted(brute_admissible(n, r, MINUS))
+
+
+def _permutation_filter(n, r):
+    """The plus pairs in the order of the permutation filter: J in
+    decreasing order, then every permutation of the rest, kept when
+    I[k] < J[k] for every k."""
+    indices = range(1, n + 1)
+    js = sorted((tuple(sorted(c, reverse=True)) for c in combinations(indices, r)),
+                reverse=True)
+    return [(I, J) for J in js
+            for I in permutations([x for x in indices if x not in J], r)
+            if all(i < j for i, j in zip(I, J))]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pairs_equal_the_permutation_filter_in_order(n):
+    # weight_structure lists its summands in this order, which the sorted
+    # comparisons with brute_admissible cannot see
+    for r in range(n // 2 + 1):
+        plus = _permutation_filter(n, r)
+        assert [(p.I, p.J) for p in admissible_pairs(n, r, PLUS)] == plus
+        minus = sorted((p.I, p.J) for p in (AdmissiblePair(I, J, PLUS, n).mirror()
+                                            for I, J in plus))
+        assert [(p.I, p.J) for p in admissible_pairs(n, r, MINUS)] == minus
 
 
 def test_pair_validation():

@@ -703,6 +703,93 @@ def test_eval_exact_zero_base_and_a_later_pole():
         vanishing.eval_exact(2, [3, 0, 5])
 
 
+# the compiled form: Fraction coefficients, negative q-exponents and a
+# point pool with q0 = 0 and z = 0 in it
+_compiled_coeffs = st.builds(qpow, st.integers(min_value=-2, max_value=2),
+                             st.sampled_from([1, -1, Fraction(2, 3),
+                                              Fraction(-3, 2), Fraction(5, 4)]))
+_compiled_points = st.sampled_from([0, 1, -1, 2, Fraction(-1, 2), Fraction(2, 3),
+                                    Fraction(-5, 4)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compiled_evaluation_equals_the_field_by_field_reference(data):
+    n = data.draw(st.integers(min_value=2, max_value=4))
+    pairs = st.tuples(st.integers(min_value=1, max_value=n),
+                      st.integers(min_value=1, max_value=n)) \
+        .filter(lambda ij: ij[0] != ij[1])
+    factors = data.draw(st.lists(
+        st.tuples(_compiled_coeffs, pairs, _compiled_coeffs,
+                  st.sampled_from([-3, -2, -1, 1, 2, 3])),
+        max_size=5))
+    fr = FactoredRational(
+        n, data.draw(st.one_of(_coeffs, _compiled_coeffs)),
+        data.draw(st.tuples(*[st.integers(min_value=-2, max_value=2)] * n)),
+        [(u, i, v, j, m) for u, (i, j), v, m in factors])
+    stored = fr.to_json()
+
+    def check(value):
+        q0 = data.draw(_compiled_points)
+        zs = data.draw(st.lists(_compiled_points, min_size=n, max_size=n))
+        got = _outcome(value.eval_exact, q0, zs)
+        assert got == _outcome(_reference_eval_exact, value, q0, zs)
+        if got is not ZeroDivisionError:
+            assert type(got) is Fraction
+
+    # two points in a row, then values derived after fr compiled its form
+    check(fr)
+    check(fr)
+    c = data.draw(_compiled_coeffs)
+    other = FactoredRational(n, 1, None, [(c, 1, qnum(1), 2,
+                                           data.draw(st.sampled_from([-1, 1])))])
+    for value in (fr.scale(c), fr * fr, fr * other, other * fr):
+        check(value)
+    if not fr.is_zero():
+        check(fr.inv())
+    # the compiled form enters no output
+    assert fr.to_json() == stored
+
+
+def test_compiled_evaluation_keeps_every_pole():
+    # q0 = 0 under a negative q-exponent of the scalar, of u and of v
+    for fr in (FactoredRational(2, qpow(-1), None, [(qnum(1), 1, q, 2, 1)]),
+               FactoredRational(2, 1, None, [(qpow(-1), 1, qnum(1), 2, 1)]),
+               FactoredRational(2, 1, None, [(qnum(1), 1, qpow(-2, 3), 2, -1)])):
+        with pytest.raises(ZeroDivisionError):
+            fr.eval_exact(0, [2, 3])
+        assert fr.eval_exact(2, [2, 3]) == _reference_eval_exact(fr, 2, [2, 3])
+    # (q z_1 + q z_2)^-1 vanishes at q0 = 0; folding q^-1 into K beside
+    # the q^1 of (q z_1 + 2q z_2) must not cancel the pole
+    pole = (q, 1, q, 2, -1)
+    for fr in (FactoredRational(2, 1, None, [pole]),
+               FactoredRational(2, 1, None, [pole, (q, 1, qpow(1, 2), 2, 1)])):
+        assert fr.factors[0] == pole
+        with pytest.raises(ZeroDivisionError):
+            fr.eval_exact(0, [2, 3])
+    # at q0 = 0 a factor with q-exponents 0 and 1 is finite, and one with
+    # both exponents positive and m > 0 makes the value 0
+    finite = FactoredRational(2, 1, None, [(q, 1, qnum(3), 2, -1)])
+    assert finite.eval_exact(0, [2, 5]) == Fraction(1, 15)
+    vanishing = FactoredRational(2, 1, None, [(q, 1, qpow(2), 2, 2)])
+    value = vanishing.eval_exact(0, [2, 5])
+    assert value == 0 and type(value) is Fraction
+    # a vanishing base with m < 0, at q0 = 0 and away from it
+    fr = FactoredRational(2, 1, None, [(qnum(1), 1, qnum(-2), 2, -1)])
+    for q0 in (0, Fraction(3, 7)):
+        with pytest.raises(ZeroDivisionError, match="pole hit"):
+            fr.eval_exact(q0, [2, 1])
+    # q/2 z_1 - q^-1 z_2 at q0 = 1/2: 1/4 z_1 - 2 z_2
+    with pytest.raises(ZeroDivisionError, match="pole hit"):
+        FactoredRational(2, 1, None, [(qpow(1, Fraction(1, 2)), 1, qpow(-1, -1), 2, -2)]) \
+            .eval_exact(Fraction(1, 2), [1, Fraction(1, 8)])
+    # z = 0 under a negative monomial exponent
+    fr = FactoredRational(2, qpow(1), (-1, 1), [(qpow(-1), 1, q, 2, 1)])
+    with pytest.raises(ZeroDivisionError):
+        fr.eval_exact(2, [0, 3])
+    assert fr.eval_exact(2, [1, 3]) == _reference_eval_exact(fr, 2, [1, 3])
+
+
 # -- FactoredRational products against the constructor -----------------------
 
 _units = st.builds(qpow, st.integers(min_value=-2, max_value=2),
