@@ -78,6 +78,14 @@ class AdmissiblePair:
         else:
             raise ValueError(f"unknown orientation {self.orientation!r}")
 
+    @classmethod
+    def _valid(cls, I, J, orientation, n) -> "AdmissiblePair":
+        """A pair valid by construction, built without the checks."""
+        pair = object.__new__(cls)
+        for name, value in zip(("I", "J", "orientation", "n"), (I, J, orientation, n)):
+            object.__setattr__(pair, name, value)
+        return pair
+
     @property
     def r(self) -> int:
         return len(self.I)
@@ -90,9 +98,9 @@ class AdmissiblePair:
         """The pair of the other side under m(x) = n+1-x: (I, J) becomes
         (m(J), m(I))."""
         n = self.n
-        return AdmissiblePair(tuple(n + 1 - x for x in self.J),
-                              tuple(n + 1 - x for x in self.I),
-                              MINUS if self.orientation == PLUS else PLUS, n)
+        return AdmissiblePair._valid(tuple(n + 1 - x for x in self.J),
+                                     tuple(n + 1 - x for x in self.I),
+                                     MINUS if self.orientation == PLUS else PLUS, n)
 
 
 def _mirror_row(row_target, n: int):
@@ -113,8 +121,6 @@ def admissible_pairs(n: int, r: int, orientation: str):
                       key=lambda p: (p.I, p.J))
     if orientation != PLUS:
         raise ValueError(f"unknown orientation {orientation!r}")
-    if r == 0:
-        return [AdmissiblePair((), (), PLUS, n)]
     out = []
     indices = range(1, n + 1)
     js = sorted((tuple(sorted(c, reverse=True))
@@ -124,7 +130,7 @@ def admissible_pairs(n: int, r: int, orientation: str):
         # I[k] < J[k] for every k: the rows in the order of
         # permutations(rest, r), each entry tried in ascending order
         if len(I) == r:
-            out.append(AdmissiblePair(I, J, PLUS, n))
+            out.append(AdmissiblePair._valid(I, J, PLUS, n))
             return
         for x in rest:
             if x >= J[len(I)]:

@@ -47,14 +47,14 @@ class TensorExpr:
         return sorted(self.terms.items(), key=key)
 
     def to_json(self):
-        shared = {}
+        shared = {}     # one JSON object per coefficient, by identity: no hashing
         return {
             "order": self.order,
             "window": self.window,
             "terms": [
                 {"left": [_symbol_json(s) for s in l],
                  "right": [_symbol_json(s) for s in r],
-                 "coeff": c._json(shared)}
+                 "coeff": shared.get(id(c)) or shared.setdefault(id(c), c.to_json())}
                 for (l, r), c in self.sorted_terms()
             ],
         }
@@ -84,8 +84,8 @@ def r_factor(sign: str, m: int, window: int) -> TensorExpr:
     function for ``sign``; the e leg is its involution transport.  Both
     legs therefore read off the same mode-coefficient table: for each
     exponent vector in the window the stored words pair up, the left
-    words passing through the involution (``pair_sums``, with the
-    coupling (q-q^-1)^m; then 1/m!, once per distinct sum).
+    words passing through the involution (``pair_sums``, each unordered
+    pair once, with the whole scale (q-q^-1)^m / m!).
 
     The weight is expanded at depth window * m(m+1)/2, the largest ratio
     degree in the window.  The boxed mode expansion (``mode_expand`` with
@@ -99,12 +99,9 @@ def r_factor(sign: str, m: int, window: int) -> TensorExpr:
         raise ValueError("order must be nonnegative")
     if m == 0:
         return TensorExpr({((), ()): qnum(1)}, 0, window)
-    w = weight(m, window * m * (m + 1) // 2)
-    sums = pair_sums(mode_expand(w, window, box=True).coeffs, _coupling() ** m)
-    inv_fact = qnum(1) / factorial(m)
-    scaled = {c: c * inv_fact for c in set(sums.values())}
-    return TensorExpr({(iota_word(wl), wr): scaled[c]
-                       for (wl, wr), c in sums.items()}, m, window)
+    modes = mode_expand(weight(m, window * m * (m + 1) // 2), window, box=True)
+    sums = pair_sums(modes.coeffs, _coupling() ** m / factorial(m))
+    return TensorExpr({(iota_word(wl), wr): c for (wl, wr), c in sums.items()}, m, window)
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 from itertools import chain, count
 from math import comb
 
-from .qfield import _POLY_ONE, ONE, ZERO, QPoly, QRat, _as_fraction, qnum
+from .qfield import _POLY_ONE, ONE, ZERO, QPoly, QRat, _as_fraction, _cancel, qnum
 
 INF = math.inf
 _first = operator.itemgetter(0)
@@ -657,9 +657,11 @@ def pair_sums(family: dict, scale: QRat) -> dict:
     The series are brought to one denominator D (``_common``), one key
     width, a slot width that holds every pair sum (``_pair_bounds``) and
     one q-base; no key is decoded.  The pairs multiply and add as packed
-    ints; each distinct nonzero sum is unpacked once, times scale / D^2
-    as one reduced ``QRat``."""
-    if not family:
+    ints, each unordered pair once.  scale / D^2 = c P / E, c rational, P
+    an integer polynomial, E monic; each distinct nonzero sum is unpacked
+    once, cancelled against E, times P and then c: no ``Fraction`` enters
+    a product."""
+    if not family or scale.is_zero():
         return {}
     operands, _, s, _, _ = _aligned(_common(*family.values()), _pair_bounds)
     b = min([x._b for x in operands if x._c], default=0)
@@ -669,13 +671,23 @@ def pair_sums(family: dict, scale: QRat) -> dict:
             by_key.setdefault(k, []).append((label, v))
     sums = {}
     for pairs in by_key.values():
-        for x, cx in pairs:
-            for y, cy in pairs:
+        for i, (x, cx) in enumerate(pairs):
+            for y, cy in pairs[i:]:
                 sums[x, y] = sums.get((x, y), 0) + cx * cy
+    sums.update([((y, x), v) for (x, y), v in sums.items()])
     d = operands[0]._d
-    scale = scale / QRat(d * d)
-    values = {v: _unpack_coeff(v, s, 2 * b, _POLY_ONE) * scale
-              for v in set(sums.values()) if v}
+    t = scale / QRat(d * d)
+    c = Fraction(math.gcd(*[x.numerator for x in t.num.coeffs]),
+                 math.lcm(*[x.denominator for x in t.num.coeffs]))
+    p, cn, cd = t.num.scale(1 / c), c.numerator, c.denominator
+    @lru_cache(maxsize=None)
+    def times_c(x):     # one Fraction per distinct coefficient
+        return y // cd if not (y := x * cn) % cd else Fraction(y, cd)
+    values = {}
+    for v in set(sums.values()) - {0}:
+        num, den = _cancel(_unpack_coeff(v, s, 2 * b, _POLY_ONE).num, t.den)
+        num = num * p
+        values[v] = QRat(QPoly(num.off, map(times_c, num.coeffs)), den, _canonical=True)
     return {key: values[v] for key, v in sums.items() if v}
 
 

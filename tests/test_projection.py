@@ -116,6 +116,18 @@ def test_pair_validation():
             AdmissiblePair(I, J, MINUS, n)
 
 
+@pytest.mark.parametrize("orientation", [PLUS, MINUS])
+def test_generated_pairs_pass_the_constructor_checks(orientation):
+    # the generator builds its rows and their mirrors unchecked: each one
+    # equals the pair built again through the checks, in the same order
+    for n in range(1, 9):
+        for r in range(n // 2 + 1):
+            got = admissible_pairs(n, r, orientation)
+            assert got == [AdmissiblePair(p.I, p.J, orientation, n) for p in got]
+    with pytest.raises(ValueError, match="second row must decrease"):
+        AdmissiblePair((1, 2), (3, 4), PLUS, 4)
+
+
 # -- building blocks ----------------------------------------------------------
 
 def test_F_with_empty_row_is_a_bare_symbol():

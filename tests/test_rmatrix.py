@@ -4,11 +4,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uqa22.ncalg import ModeSymbol, iota_word, principal_degree
+from uqa22.cli import _canonical_json
+from uqa22.ncalg import ModeSymbol, _symbol_json, iota_word, principal_degree
 from uqa22.projection import (mode_expand, weight_minus_closed,
                               weight_plus_closed, weight_plus_recursive)
-from uqa22.qfield import qnum, qpow
+from uqa22.qfield import QRat, qnum, qpow
 from uqa22.rmatrix import (
     H_TENSOR_H,
     TensorExpr,
@@ -274,6 +277,92 @@ def test_pair_sums_drop_the_cancelled_pairs():
     assert pair_sums(_boxed({"gone": gone, "outside": outside, "y": y + -y}),
                      coupling) == {}
     assert pair_sums({}, coupling) == {}
+
+
+def test_pair_sums_of_a_zero_scale_or_an_empty_family_are_empty():
+    x = ExpansionSeries(2, {(0, 1): qnum(3), (1, 0): q / (1 + q ** 3)})
+    assert pair_sums({"x": x}, qnum(0)) == {}
+    assert pair_sums({}, qnum(0)) == {}
+    assert pair_sums({}, coupling) == {}
+    assert pair_sums({"empty": ExpansionSeries(2, {})}, coupling) == {}
+
+
+def _fields(v):
+    # the canonical fields, with the exact type of every coefficient
+    return [(p.off, [(type(c), c) for c in p.coeffs]) for p in (v.num, v.den)]
+
+
+@st.composite
+def _families(draw):
+    # up to four members, each over 1, 1+q^3, (1+q^3)^2 or 3 and at its own
+    # q-base, on exponents inside the window [-2, 2]^2 and one outside it
+    family = {}
+    for label in range(draw(st.integers(min_value=1, max_value=4))):
+        den = draw(st.sampled_from([qnum(1), 1 + q ** 3, (1 + q ** 3) ** 2,
+                                    qnum(3)]))
+        base = draw(st.integers(min_value=-6, max_value=6))
+        terms = {}
+        for a in draw(st.lists(st.sampled_from([(0, 1), (1, 0), (2, -1),
+                                                (1, 1), (3, 0)]),
+                               max_size=4, unique=True)):
+            cs = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                               min_size=1, max_size=3))
+            num = sum((qpow(base + k, c) for k, c in enumerate(cs)), qnum(0))
+            if not num.is_zero():
+                terms[a] = num / den
+        family[label] = ExpansionSeries(2, terms)
+    return family
+
+
+_scales = st.one_of(
+    st.integers(min_value=1, max_value=4).map(
+        lambda m: coupling ** m / factorial(m)),
+    st.builds(lambda c, k: qpow(k, c) / (1 + q ** 3),
+              st.fractions(min_value=-9, max_value=9,
+                           max_denominator=9).filter(bool),
+              st.integers(min_value=-4, max_value=4)),
+    st.just(qnum(Fraction(2, 3))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_families(), _scales)
+def test_pair_sums_fold_the_whole_scale(family, scale):
+    # the scale meets each distinct sum once, after the division by D^2
+    got = pair_sums(_boxed(family), scale)
+    assert got == _pair_sums_reference(family, _in_window, scale)
+    for (x, y), v in got.items():
+        assert got[y, x] == v
+        assert _fields(v) == _fields(QRat(v.num, v.den))
+
+
+def _plain_json(t):
+    # the tensor's JSON with one fresh coefficient tree per term
+    return {"order": t.order, "window": t.window,
+            "terms": [{"left": [_symbol_json(s) for s in l],
+                       "right": [_symbol_json(s) for s in r],
+                       "coeff": c.to_json()}
+                      for (l, r), c in t.sorted_terms()]}
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_tensor_json_hashes_no_fraction(sign, monkeypatch):
+    third = qnum(Fraction(1, 3)) * q - 1
+    # equal coefficients held in distinct objects
+    twins = TensorExpr({((e(-1),), (f(1),)): third,
+                        ((e(-2),), (f(2),)): qnum(Fraction(1, 3)) * q - 1}, 1, 2)
+    assert len({id(c) for c in twins.terms.values()}) == 2
+    tensors = [r_factor(sign, 2, 4), twins]
+    assert any(type(c) is Fraction for t in tensors for v in t.terms.values()
+               for c in v.num.coeffs)
+    want = [_canonical_json(_plain_json(t)) for t in tensors]
+
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    with pytest.raises(AssertionError):
+        hash(Fraction(1, 3))
+    assert [_canonical_json(t.to_json()) for t in tensors] == want
 
 
 def test_r_factor_rejects_an_unknown_sign_at_every_order():
