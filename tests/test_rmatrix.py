@@ -283,7 +283,6 @@ def test_pair_sums_of_a_zero_scale_or_an_empty_family_are_empty():
     x = ExpansionSeries(2, {(0, 1): qnum(3), (1, 0): q / (1 + q ** 3)})
     assert pair_sums({"x": x}, qnum(0)) == {}
     assert pair_sums({}, qnum(0)) == {}
-    assert pair_sums({}, coupling) == {}
     assert pair_sums({"empty": ExpansionSeries(2, {})}, coupling) == {}
 
 
